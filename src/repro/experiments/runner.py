@@ -12,7 +12,7 @@ from __future__ import annotations
 import time
 from bisect import insort
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Iterable, List, Optional
 
 from repro.disk.request import IORequest
 from repro.metrics.collector import RequestCollector
@@ -23,7 +23,7 @@ from repro.raid.array import DiskArray
 from repro.sim.engine import Environment
 from repro.sim.sharded import ShardedEngine, sharding_available
 from repro.workloads.streaming import StreamingTrace
-from repro.workloads.trace import Trace
+from repro.workloads.trace import Trace, first_out_of_order
 
 __all__ = ["ChunkProgress", "RunResult", "run_trace"]
 
@@ -57,11 +57,10 @@ class ChunkProgress:
     """Telemetry for one completed chunk of a streamed replay.
 
     ``chunk`` holds exact per-chunk measurements (samples included, so
-    chunk percentiles are exact); ``cumulative`` is the incremental
-    :meth:`~repro.metrics.collector.RequestCollector.merge` of every
-    chunk so far with samples dropped — the flat-memory running
-    aggregate a progress consumer (e.g. a serve worker heartbeat)
-    reads without waiting for the run to drain.
+    chunk percentiles are exact); ``cumulative`` is a sample-free copy
+    of the run's own collector once the chunk is folded into it — the
+    exact running aggregate a progress consumer (e.g. a serve worker
+    heartbeat) reads without waiting for the run to drain.
     """
 
     index: int
@@ -100,14 +99,16 @@ def run_trace(
 
     ``trace`` may also be a
     :class:`~repro.workloads.streaming.StreamingTrace`: requests are
-    then pulled from disk in bounded-memory chunks and submitted
-    without ever materializing the trace, and the collector's figures
-    are bit-identical to an in-memory replay of the same file (the
-    record path is unchanged; only the producer's sourcing differs).
+    then pulled from disk in bounded-memory chunks (``chunk_requests``,
+    default: the stream's chunk size) and submitted without ever
+    materializing the trace.  One producer serves both kinds of
+    source — an in-memory trace is a single chunk — so the collector's
+    figures are bit-identical to an in-memory replay of the same file.
     ``on_chunk``, if given, is called with a :class:`ChunkProgress`
-    after every ``chunk_requests`` completions (default: the stream's
-    chunk size): per-chunk collectors are merged incrementally so the
-    progress aggregate stays flat in memory too.
+    after every ``chunk_requests`` completions: each completion is
+    recorded once, into that chunk's collector, which is then folded
+    into the run's collector (:meth:`RequestCollector.fold`), so
+    progress costs no second record per request.
     """
     if not 0.0 <= warmup_fraction < 1.0:
         raise ValueError(
@@ -115,7 +116,8 @@ def run_trace(
         )
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
-    if isinstance(trace, StreamingTrace):
+    streamed = isinstance(trace, StreamingTrace)
+    if streamed:
         if warmup_fraction > 0.0:
             raise ValueError(
                 "warmup_fraction requires a known trace length; "
@@ -128,24 +130,52 @@ def run_trace(
                 "cursor; use shards=1 (replay-level parallelism comes "
                 "from the job service instead)"
             )
-        return _run_trace_streaming(
-            env,
-            system,
-            trace,
-            keep_samples=keep_samples,
-            label=label,
-            on_chunk=on_chunk,
-            chunk_requests=chunk_requests,
-        )
-    if on_chunk is not None or chunk_requests is not None:
-        raise ValueError(
-            "on_chunk/chunk_requests apply to StreamingTrace replays"
-        )
-    if shards > 1 and not sharding_available():
-        shards = 1
+        chunk_size = chunk_requests or trace.chunk_requests
+        if chunk_size < 1:
+            raise ValueError(
+                f"chunk_requests must be >= 1, got {chunk_size}"
+            )
+        # Each chunk is fresh from the reader; no clone needed.
+        chunks: Iterable[List[IORequest]] = trace.iter_chunks(chunk_size)
+        warmup_remaining = 0
+    else:
+        if on_chunk is not None or chunk_requests is not None:
+            raise ValueError(
+                "on_chunk/chunk_requests apply to StreamingTrace replays"
+            )
+        if shards > 1 and not sharding_available():
+            shards = 1
+        # ``clone()`` with no overrides is exactly this positional fast
+        # path; calling it directly skips one wrapper frame per request.
+        fresh: List[IORequest] = [
+            request.clone_slice(
+                request.lba,
+                request.size,
+                request.is_read,
+                request.arrival_time,
+                request.source_disk,
+            )
+            for request in trace
+        ]
+        # A Trace validates (or sorts) arrival order at construction,
+        # but ``trace`` may be any iterable of requests.  The producer
+        # below stamps each request's arrival at submission time, so an
+        # out-of-order request would be *silently* submitted late with
+        # a rewritten arrival time, corrupting every response-time
+        # figure.  Fail loudly instead.
+        index = first_out_of_order(fresh)
+        if index is not None:
+            raise ValueError(
+                f"run_trace: trace arrival times not monotone at request "
+                f"{index} ({fresh[index].arrival_time} after "
+                f"{fresh[index - 1].arrival_time}); sort the trace first, "
+                "e.g. Trace(requests, sort=True)"
+            )
+        chunks = (fresh,)
+        warmup_remaining = int(len(fresh) * warmup_fraction)
     collector = RequestCollector(keep_samples=keep_samples)
-    warmup_remaining = int(len(trace) * warmup_fraction)
     warmed_up = 0
+    progress = None
 
     if warmup_remaining:
         def record(request: IORequest) -> None:
@@ -155,79 +185,71 @@ def run_trace(
                 return
             collector.record(request)
         system.on_complete.append(record)
-    else:
-        # No warmup (the default): skip the wrapper frame and let the
-        # completion hook call the collector directly.
-        system.on_complete.append(collector.record)
-    # ``clone()`` with no overrides is exactly this positional fast
-    # path; calling it directly skips one wrapper frame per request.
-    fresh: List[IORequest] = [
-        request.clone_slice(
-            request.lba,
-            request.size,
-            request.is_read,
-            request.arrival_time,
-            request.source_disk,
+    elif on_chunk is not None:
+        progress = _ChunkProgressRecorder(
+            collector, on_chunk, env, chunk_size
         )
-        for request in trace
-    ]
-    # A Trace validates (or sorts) arrival order at construction, but
-    # ``trace`` may be any iterable of requests.  The producer below
-    # stamps each request's arrival at submission time, so an
-    # out-of-order request would be *silently* submitted late with a
-    # rewritten arrival time, corrupting every response-time figure.
-    # Fail loudly instead.
-    for index, (earlier, later) in enumerate(zip(fresh, fresh[1:])):
-        if later.arrival_time < earlier.arrival_time:
-            raise ValueError(
-                f"run_trace: trace arrival times not monotone at request "
-                f"{index + 1} ({later.arrival_time} after "
-                f"{earlier.arrival_time}); sort the trace first, e.g. "
-                "Trace(requests, sort=True)"
-            )
+        system.on_complete.append(progress.record)
+    else:
+        # The default: no wrapper frame, the completion hook calls the
+        # collector directly.
+        system.on_complete.append(collector.record)
+
+    submitted = 0
+    chunks_read = 0
+    peak_chunk = 0
 
     def producer():
+        nonlocal submitted, chunks_read, peak_chunk
         timeout = env.timeout
         submit = system.submit
         pool = env._timeout_pool
-        for request in fresh:
-            delay = request.arrival_time - env._now
-            if delay > 0:
-                if pool:
-                    # Inlined Environment.timeout pool path (the
-                    # ``delay > 0`` guard above subsumes its negative-
-                    # delay check); one inter-arrival wait per request
-                    # makes this the producer's hottest line.  See
-                    # engine.timeout for the canonical body.
-                    wait = pool.pop()
-                    wait.delay = delay
-                    wait._value = None
-                    wait._ok = True
-                    wait.defused = False
-                    env._eid += 1
-                    calendar = env._calendar
-                    if calendar is not None and (
-                        calendar._cursor > calendar._nbuckets
-                    ):
-                        current = calendar._current
-                        insort(
-                            current,
-                            (-env._now - delay, -1, -env._eid, wait),
-                        )
-                        if len(current) > calendar._spill_limit:
-                            calendar._rest += len(current)
-                            calendar._overflow.extend(current)
-                            del current[:]
-                            calendar._reseed()
+        for chunk in chunks:
+            # Every request of a chunk is submitted before the next one
+            # is read, so counting per chunk is exact once the run ends.
+            submitted += len(chunk)
+            chunks_read += 1
+            if len(chunk) > peak_chunk:
+                peak_chunk = len(chunk)
+            for request in chunk:
+                delay = request.arrival_time - env._now
+                if delay > 0:
+                    if pool:
+                        # Inlined Environment.timeout pool path (the
+                        # ``delay > 0`` guard above subsumes its
+                        # negative-delay check); one inter-arrival wait
+                        # per request makes this the producer's hottest
+                        # line.  See engine.timeout for the canonical
+                        # body.
+                        wait = pool.pop()
+                        wait.delay = delay
+                        wait._value = None
+                        wait._ok = True
+                        wait.defused = False
+                        env._eid += 1
+                        calendar = env._calendar
+                        if calendar is not None and (
+                            calendar._cursor > calendar._nbuckets
+                        ):
+                            current = calendar._current
+                            insort(
+                                current,
+                                (-env._now - delay, -1, -env._eid, wait),
+                            )
+                            if len(current) > calendar._spill_limit:
+                                calendar._rest += len(current)
+                                calendar._overflow.extend(current)
+                                del current[:]
+                                calendar._reseed()
+                        else:
+                            env._queue.push(
+                                env._now + delay, 1, env._eid, wait
+                            )
+                        yield wait
                     else:
-                        env._queue.push(
-                            env._now + delay, 1, env._eid, wait
-                        )
-                    yield wait
-                else:
-                    yield timeout(delay)
-            request.arrival_time = env._now
-            submit(request)
+                        yield timeout(delay)
+                request.arrival_time = env._now
+                submit(request)
 
     # Every span a run records fires inside env.run(); scoping the run
     # by its label separates identically named drives of different
@@ -249,7 +271,11 @@ def run_trace(
                 "run-start",
                 env.now,
                 (system.label, "run"),
-                args={"requests": len(fresh)},
+                args=(
+                    {"trace": trace.name, "streamed": True}
+                    if streamed
+                    else {"requests": len(fresh)}
+                ),
             )
         if engine is not None:
             engine.run()
@@ -260,11 +286,15 @@ def run_trace(
                 "run-end",
                 env.now,
                 (system.label, "run"),
-                args={"requests": len(fresh), "elapsed_ms": env.now},
+                args={"requests": submitted, "elapsed_ms": env.now},
             )
+    if progress is not None and progress.chunk.completed:
+        progress.flush()
     if tracer.enabled:
         telemetry = tracer.telemetry
         telemetry.counter("runs.completed").inc()
+        if streamed:
+            telemetry.counter("runs.streamed").inc()
         telemetry.stats("run.elapsed_ms").add(env.now)
         if collector.completed:
             telemetry.stats("run.mean_response_ms").add(
@@ -273,165 +303,39 @@ def run_trace(
     if metrics.enabled:
         # Wall-clock only — never simulated time — so figures stay
         # bit-identical with metrics on or off.
-        wall_ms = (time.perf_counter() - wall_start) * 1000.0
-        metrics.counter(
-            "repro_runs_total", "Completed replays", labels=("mode",)
-        ).labels(mode="sharded" if engine is not None else "memory").inc()
-        metrics.histogram(
-            "repro_run_wall_ms", "Wall-clock time of one replay"
-        ).observe(wall_ms)
-    completed = collector.completed + warmed_up
-    if completed != len(fresh):
-        raise RuntimeError(
-            f"run did not drain: {completed} of {len(fresh)} "
-            "requests completed"
-        )
-    elapsed = max(env.now, 1e-9)
-    return RunResult(
-        label=label or system.label,
-        collector=collector,
-        power=array_power(system.drives, elapsed),
-        elapsed_ms=elapsed,
-        requests=len(fresh),
-    )
-
-
-def _run_trace_streaming(
-    env: Environment,
-    system: DiskArray,
-    trace: StreamingTrace,
-    keep_samples: bool,
-    label: Optional[str],
-    on_chunk: Optional[Callable[[ChunkProgress], None]],
-    chunk_requests: Optional[int],
-) -> RunResult:
-    """Replay a disk-backed stream without materializing it.
-
-    The measurement path is *identical* to the in-memory replay: one
-    collector records every completion in the same order the serial
-    kernel produces, so every figure (means, CDFs, PDFs, power) is
-    bit-identical to ``run_trace`` over ``trace.materialize()`` —
-    streaming only changes where the producer gets its requests.
-    Memory is bounded by one parse chunk plus in-flight requests (plus
-    retained samples if ``keep_samples=True``; pass ``False`` for a
-    flat ceiling on multi-million-request traces).
-    """
-    chunk_size = chunk_requests or trace.chunk_requests
-    if chunk_size < 1:
-        raise ValueError(
-            f"chunk_requests must be >= 1, got {chunk_size}"
-        )
-    collector = RequestCollector(keep_samples=keep_samples)
-    submitted = 0
-    progress_state = None
-    if on_chunk is None:
-        system.on_complete.append(collector)
-    else:
-        # Per-chunk collectors keep samples (exact chunk percentiles)
-        # and merge incrementally into a sample-free cumulative
-        # aggregate, so progress costs O(chunk), not O(trace).
-        progress_state = {
-            "chunk": RequestCollector(keep_samples=True),
-            "cumulative": RequestCollector(keep_samples=False),
-            "index": 0,
-        }
-
-        def record(request: IORequest) -> None:
-            collector.record(request)
-            chunk = progress_state["chunk"]
-            chunk.record(request)
-            if chunk.completed >= chunk_size:
-                _flush_chunk(progress_state, on_chunk, env)
-
-        system.on_complete.append(record)
-
-    stream_stats = {"chunks": 0, "peak": 0}
-
-    def producer():
-        nonlocal submitted
-        timeout = env.timeout
-        submit = system.submit
-        for chunk in trace.iter_chunks(chunk_size):
-            stream_stats["chunks"] += 1
-            if len(chunk) > stream_stats["peak"]:
-                stream_stats["peak"] = len(chunk)
-            for request in chunk:
-                delay = request.arrival_time - env._now
-                if delay > 0:
-                    yield timeout(delay)
-                request.arrival_time = env._now
-                submit(request)
-                submitted += 1
-
-    run_label = label or system.label
-    tracer = tracer_for(env)
-    metrics = metrics_for(env)
-    wall_start = time.perf_counter() if metrics.enabled else 0.0
-    env.process(producer())
-    with tracer.scope(run_label):
-        if tracer.enabled:
-            tracer.instant(
-                "run-start",
-                env.now,
-                (system.label, "run"),
-                args={"trace": trace.name, "streamed": True},
-            )
-        env.run()
-        if tracer.enabled:
-            tracer.instant(
-                "run-end",
-                env.now,
-                (system.label, "run"),
-                args={"requests": submitted, "elapsed_ms": env.now},
-            )
-    if progress_state is not None and progress_state["chunk"].completed:
-        _flush_chunk(progress_state, on_chunk, env)
-    if tracer.enabled:
-        telemetry = tracer.telemetry
-        telemetry.counter("runs.completed").inc()
-        telemetry.counter("runs.streamed").inc()
-        telemetry.stats("run.elapsed_ms").add(env.now)
-        if collector.completed:
-            telemetry.stats("run.mean_response_ms").add(
-                collector.mean_response_ms
-            )
-    if metrics.enabled:
-        # Wall-clock only, measured after the run: replay throughput
-        # and chunking shape, with zero work on the simulated path.
         wall_s = max(time.perf_counter() - wall_start, 1e-9)
+        if streamed:
+            mode = "streamed"
+        else:
+            mode = "sharded" if engine is not None else "memory"
         metrics.counter(
             "repro_runs_total", "Completed replays", labels=("mode",)
-        ).labels(mode="streamed").inc()
-        metrics.counter(
-            "repro_replay_chunks_total", "Streamed chunks replayed"
-        ).inc(stream_stats["chunks"])
-        metrics.counter(
-            "repro_replay_requests_total", "Requests replayed from streams"
-        ).inc(submitted)
-        metrics.gauge(
-            "repro_replay_peak_chunk_requests",
-            "Largest chunk of the last streamed replay",
-        ).set(stream_stats["peak"])
-        metrics.gauge(
-            "repro_replay_requests_per_s",
-            "Wall-clock replay rate of the last streamed run",
-        ).set(submitted / wall_s)
+        ).labels(mode=mode).inc()
+        if streamed:
+            metrics.counter(
+                "repro_replay_chunks_total", "Streamed chunks replayed"
+            ).inc(chunks_read)
+            metrics.counter(
+                "repro_replay_requests_total",
+                "Requests replayed from streams",
+            ).inc(submitted)
+            metrics.gauge(
+                "repro_replay_peak_chunk_requests",
+                "Largest chunk of the last streamed replay",
+            ).set(peak_chunk)
+            metrics.gauge(
+                "repro_replay_requests_per_s",
+                "Wall-clock replay rate of the last streamed run",
+            ).set(submitted / wall_s)
         metrics.histogram(
             "repro_run_wall_ms", "Wall-clock time of one replay"
         ).observe(wall_s * 1000.0)
-    if collector.completed != submitted:
+    completed = collector.completed + warmed_up
+    if completed != submitted:
         raise RuntimeError(
-            f"streamed run did not drain: {collector.completed} of "
-            f"{submitted} requests completed"
+            f"run did not drain: {completed} of {submitted} "
+            "requests completed"
         )
-    if progress_state is not None:
-        merged = progress_state["cumulative"]
-        if merged.completed != collector.completed:
-            raise RuntimeError(
-                "chunk-merge accounting mismatch: merged "
-                f"{merged.completed} completions, collector saw "
-                f"{collector.completed}"
-            )
     elapsed = max(env.now, 1e-9)
     return RunResult(
         label=run_label,
@@ -442,19 +346,51 @@ def _run_trace_streaming(
     )
 
 
-def _flush_chunk(progress_state, on_chunk, env) -> None:
-    chunk = progress_state["chunk"]
-    progress_state["cumulative"] = cumulative = progress_state[
-        "cumulative"
-    ].merge(chunk)
-    on_chunk(
-        ChunkProgress(
-            index=progress_state["index"],
-            completed=cumulative.completed,
-            simulated_ms=env.now,
-            chunk=chunk,
-            cumulative=cumulative,
+class _ChunkProgressRecorder:
+    """Records a streamed run's completions chunk by chunk.
+
+    Each completion is recorded once, into the current chunk's
+    collector, which keeps samples (exact chunk percentiles).  Every
+    ``size`` completions :meth:`flush` folds the chunk into the run's
+    collector and hands both to ``on_chunk``, so progress memory is
+    one chunk, not the trace.
+    """
+
+    def __init__(
+        self,
+        collector: RequestCollector,
+        on_chunk: Callable[[ChunkProgress], None],
+        env: Environment,
+        size: int,
+    ):
+        self.collector = collector
+        self.on_chunk = on_chunk
+        self.env = env
+        self.size = size
+        self.index = 0
+        self.chunk = RequestCollector(keep_samples=True)
+
+    def record(self, request: IORequest) -> None:
+        chunk = self.chunk
+        chunk.record(request)
+        if chunk.completed >= self.size:
+            self.flush()
+
+    def flush(self) -> None:
+        collector = self.collector
+        collector.fold(self.chunk)
+        self.on_chunk(
+            ChunkProgress(
+                index=self.index,
+                completed=collector.completed,
+                simulated_ms=self.env.now,
+                chunk=self.chunk,
+                # merge() with an empty collector is an exact copy
+                # without the samples.
+                cumulative=collector.merge(
+                    RequestCollector(keep_samples=False)
+                ),
+            )
         )
-    )
-    progress_state["index"] += 1
-    progress_state["chunk"] = RequestCollector(keep_samples=True)
+        self.index += 1
+        self.chunk = RequestCollector(keep_samples=True)

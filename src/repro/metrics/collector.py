@@ -112,6 +112,39 @@ class RequestCollector:
         if self.keep_samples:
             self.response_times.append(response)
 
+    def fold(self, chunk: "RequestCollector") -> None:
+        """Continue this collector over ``chunk``'s retained samples.
+
+        ``chunk`` must keep samples.  Its completions are applied in
+        their recorded order with the same sequential Welford and
+        histogram updates as :meth:`record`, so folding every chunk of
+        a run, in order, leaves this collector bit-identical to one
+        that recorded each completion itself.  :meth:`merge`'s
+        parallel Welford formula rounds differently and cannot stand
+        in for it.
+        """
+        if not chunk.keep_samples:
+            raise ValueError("fold needs a chunk that kept its samples")
+        _fold_samples(
+            self.response_stats,
+            self.response_histogram,
+            chunk.response_times,
+        )
+        _fold_samples(
+            self.rotational_stats,
+            self.rotational_histogram,
+            chunk.rotational_latencies,
+        )
+        _fold_samples(self.seek_stats, None, chunk.seek_times)
+        self.completed += chunk.completed
+        self.cache_hits += chunk.cache_hits
+        self.reads += chunk.reads
+        self.nonzero_seeks += chunk.nonzero_seeks
+        if self.keep_samples:
+            self.response_times.extend(chunk.response_times)
+            self.rotational_latencies.extend(chunk.rotational_latencies)
+            self.seek_times.extend(chunk.seek_times)
+
     def merge(self, other: "RequestCollector") -> "RequestCollector":
         """Return a new collector combining this one and ``other``.
 
@@ -221,3 +254,40 @@ class RequestCollector:
         if self.keep_samples and self.response_times:
             summary["p90_response_ms"] = self.response_percentile(90)
         return summary
+
+
+def _fold_samples(
+    stats: OnlineStats,
+    histogram: Optional[BucketHistogram],
+    samples: List[float],
+) -> None:
+    """:meth:`RequestCollector.record`'s per-sample updates of ``stats``
+    (and ``histogram``), applied to ``samples`` in order."""
+    count = stats.count
+    total = stats.total
+    mean = stats._mean
+    m2 = stats._m2
+    low = stats.minimum
+    high = stats.maximum
+    for value in samples:
+        count += 1
+        total += value
+        delta = value - mean
+        mean += delta / count
+        m2 += delta * (value - mean)
+        if value < low:
+            low = value
+        if value > high:
+            high = value
+    stats.count = count
+    stats.total = total
+    stats._mean = mean
+    stats._m2 = m2
+    stats.minimum = low
+    stats.maximum = high
+    if histogram is not None:
+        counts = histogram.counts
+        edges = histogram.edges
+        for value in samples:
+            counts[bisect_left(edges, value)] += 1
+        histogram.total += len(samples)

@@ -226,7 +226,8 @@ class _WrappedStream(StreamingTrace):
     has ``disks`` source extents of ``extent_sectors`` each.  Wrapping
     ``source_disk`` and ``lba`` modulo the target space (the standard
     trace-replay convention) keeps every request in range while
-    preserving locality structure.  ``limit`` truncates the stream.
+    preserving locality structure.  ``limit`` truncates the stream:
+    the reader stops at the last request the job replays.
     """
 
     def __init__(
@@ -247,17 +248,26 @@ class _WrappedStream(StreamingTrace):
         self._extent = extent_sectors
         self._limit = limit
 
-    def __iter__(self):
-        yielded = 0
-        for request in super().__iter__():
-            if self._limit is not None and yielded >= self._limit:
-                return
-            request.source_disk %= self._disks
-            size = min(request.size, self._extent)
-            request.size = size
-            request.lba %= max(1, self._extent - size)
-            yielded += 1
-            yield request
+    def iter_chunks(
+        self,
+        chunk_requests: Optional[int] = None,
+        limit: Optional[int] = None,
+    ):
+        # The tighter of the caller's limit and the job's.
+        if limit is None or (
+            self._limit is not None and self._limit < limit
+        ):
+            limit = self._limit
+        disks = self._disks
+        extent = self._extent
+        for chunk in super().iter_chunks(chunk_requests, limit):
+            for request in chunk:
+                request.source_disk %= disks
+                size = request.size
+                if size > extent:
+                    request.size = size = extent
+                request.lba %= extent - size or 1
+            yield chunk
 
 
 def _build_system(spec: JobSpec, env):

@@ -31,30 +31,48 @@ by (§7.1, Table 2) plus what modern tooling produces:
     summaries, other actions, zero-sector barriers) are skipped and
     counted.
 
-Every reader is a generator over :class:`~repro.disk.request.IORequest`
-— nothing is materialized, so a multi-million-request trace can be
-converted, profiled or replayed at a flat memory ceiling.  ``.gz``
-paths are handled transparently by
+Every reader is one loop over the file's lines that builds lists of
+up to ``chunk_requests`` requests with the slab constructor
+:func:`~repro.disk.request.new_request` — only one chunk is resident,
+so a multi-million-request trace can be converted, profiled or
+replayed at a flat memory ceiling, and a consumer pays one generator
+resumption per chunk rather than per request.  A ``limit`` stops the
+reader at that many requests: nothing past the last one is parsed.
+``.gz`` paths are handled transparently by
 :func:`repro.workloads.trace.open_trace_text`.
+
+Malformed records of the native and SPC-1 formats raise
+``ValueError("<path>:<line>: ...")``: a wrong field count, an unknown
+opcode, a field ``int``/``float`` cannot parse, a non-finite
+timestamp, a negative LBA, a non-positive native size or a negative
+SPC-1 byte count.  blktrace text interleaves per-event records with
+anything else ``blkparse`` prints, so its reader counts what it cannot
+replay as skipped instead (non-finite times and negative sectors
+count as ``non_event``).
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import os
-from typing import Callable, Dict, Iterable, Iterator, Optional, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Union
 
-from repro.disk.request import IORequest
+from repro.disk.request import IORequest, new_request
 from repro.workloads.trace import (
+    KINDS,
     Trace,
+    disksim_request,
     format_request_line,
     open_trace_text,
-    parse_request_line,
 )
 
 __all__ = [
+    "DEFAULT_CHUNK_REQUESTS",
     "TRACE_FORMATS",
     "convert_trace",
     "detect_trace_format",
+    "iter_trace_chunks",
     "iter_trace_requests",
     "stat_trace",
     "write_trace_requests",
@@ -62,6 +80,10 @@ __all__ = [
 
 #: Formats readers/writers exist for, in documentation order.
 TRACE_FORMATS = ("disksim", "spc1", "blktrace")
+
+#: Default read chunk: large enough to amortize per-chunk overhead,
+#: small enough that a chunk of requests is a few MB resident.
+DEFAULT_CHUNK_REQUESTS = 65536
 
 _SUFFIX_FORMATS = {
     ".trace": "disksim",
@@ -97,124 +119,197 @@ def _skip(skipped: Dict[str, int], reason: str) -> None:
     skipped[reason] = skipped.get(reason, 0) + 1
 
 
-def _iter_disksim(
-    handle: Iterable[str], where: str, skipped: Dict[str, int]
-) -> Iterator[IORequest]:
-    for line_number, line in enumerate(handle, start=1):
-        text = line.strip()
-        if not text:
-            _skip(skipped, "blank")
-            continue
-        if text.startswith("#"):
-            skipped["comments"] += 1
-            continue
-        yield parse_request_line(text, where=f"{where}:{line_number}")
+def _chunk_sizes(chunk_requests: int, limit: Optional[int]) -> Iterator[int]:
+    """Sizes of the chunks a reader fills, in order: ``chunk_requests``
+    each, the last one cut so the total stops at ``limit``."""
+    if limit is None:
+        return itertools.repeat(chunk_requests)
+    full, rest = divmod(limit, chunk_requests)
+    return itertools.chain(
+        itertools.repeat(chunk_requests, full), [rest] if rest else []
+    )
 
 
-def _iter_spc1(
-    handle: Iterable[str], where: str, skipped: Dict[str, int]
-) -> Iterator[IORequest]:
-    for line_number, line in enumerate(handle, start=1):
-        text = line.strip()
-        if not text:
-            _skip(skipped, "blank")
-            continue
-        if text.startswith("#"):
-            skipped["comments"] += 1
-            continue
-        fields = text.split(",")
-        if len(fields) < 5:
-            raise ValueError(
-                f"{where}:{line_number}: expected 5 comma-separated "
-                f"SPC-1 fields (ASU,LBA,Size,Opcode,Timestamp), got "
-                f"{len(fields)}: {text!r}"
-            )
-        asu, lba, size_bytes, opcode, timestamp = (
-            field.strip() for field in fields[:5]
-        )
-        kind = opcode.upper()
-        if kind not in ("R", "W"):
-            raise ValueError(
-                f"{where}:{line_number}: SPC-1 opcode must be r or w, "
-                f"got {opcode!r}"
-            )
-        size = max(1, (int(size_bytes) + _SECTOR_BYTES - 1) // _SECTOR_BYTES)
-        yield IORequest(
-            lba=int(lba),
-            size=size,
-            is_read=kind == "R",
-            arrival_time=float(timestamp) * _MS_PER_S,
-            source_disk=int(asu),
-        )
+# Each reader below fills one chunk per size drawn from ``sizes`` and
+# yields it; a short chunk means the file ended.  Once ``sizes`` runs
+# out the reader returns, so a limited read stops at the last wanted
+# request without parsing the line after it.
 
 
-def _iter_blktrace(
+def _read_disksim(
     handle: Iterable[str],
     where: str,
     skipped: Dict[str, int],
+    sizes: Iterator[int],
+) -> Iterator[List[IORequest]]:
+    lines = enumerate(handle, start=1)
+    for size in sizes:
+        chunk: List[IORequest] = []
+        append = chunk.append
+        for line_number, line in lines:
+            fields = line.split()
+            if not fields:
+                _skip(skipped, "blank")
+                continue
+            if fields[0][0] == "#":
+                _skip(skipped, "comments")
+                continue
+            try:
+                append(disksim_request(fields, line))
+            except ValueError as error:
+                raise ValueError(f"{where}:{line_number}: {error}") from None
+            if len(chunk) == size:
+                break
+        if chunk:
+            yield chunk
+        if len(chunk) < size:
+            return
+
+
+def _read_spc1(
+    handle: Iterable[str],
+    where: str,
+    skipped: Dict[str, int],
+    sizes: Iterator[int],
+) -> Iterator[List[IORequest]]:
+    lines = enumerate(handle, start=1)
+    isfinite = math.isfinite
+    for size in sizes:
+        chunk: List[IORequest] = []
+        append = chunk.append
+        for line_number, line in lines:
+            text = line.strip()
+            if not text:
+                _skip(skipped, "blank")
+                continue
+            if text[0] == "#":
+                _skip(skipped, "comments")
+                continue
+            fields = text.split(",")
+            try:
+                if len(fields) < 5:
+                    raise ValueError(
+                        "expected 5 comma-separated SPC-1 fields "
+                        "(ASU,LBA,Size,Opcode,Timestamp), got "
+                        f"{len(fields)}: {text!r}"
+                    )
+                is_read = KINDS.get(fields[3].strip())
+                if is_read is None:
+                    raise ValueError(
+                        "SPC-1 opcode must be r or w, got "
+                        f"{fields[3].strip()!r}"
+                    )
+                # int() and float() ignore surrounding whitespace, so
+                # the numeric fields need no strip().
+                size_bytes = int(fields[2])
+                lba = int(fields[1])
+                arrival = float(fields[4]) * _MS_PER_S
+                asu = int(fields[0])
+                if size_bytes < 0:
+                    raise ValueError(
+                        f"SPC-1 size must be non-negative, got "
+                        f"{size_bytes} bytes"
+                    )
+                if not isfinite(arrival):
+                    raise ValueError(
+                        "SPC-1 timestamp must be finite, got "
+                        f"{fields[4].strip()!r}"
+                    )
+                # Bytes round up to whole sectors; a zero-byte record
+                # replays as one sector.
+                sectors = (size_bytes + _SECTOR_BYTES - 1) // _SECTOR_BYTES
+                append(new_request(lba, sectors or 1, is_read, arrival, asu))
+            except ValueError as error:
+                raise ValueError(f"{where}:{line_number}: {error}") from None
+            if len(chunk) == size:
+                break
+        if chunk:
+            yield chunk
+        if len(chunk) < size:
+            return
+
+
+def _read_blktrace(
+    handle: Iterable[str],
+    where: str,
+    skipped: Dict[str, int],
+    sizes: Iterator[int],
     action: str = "Q",
-) -> Iterator[IORequest]:
+) -> Iterator[List[IORequest]]:
     device_ids: Dict[str, int] = {}
-    for line in handle:
-        fields = line.split()
-        if not fields:
-            _skip(skipped, "blank")
-            continue
-        # Per-event records have at least: dev cpu seq time pid action
-        # rwbs sector + nsectors.  Everything else (the blkparse
-        # per-CPU summary block, truncated lines) is skipped.
-        if len(fields) < 10 or fields[8] != "+":
-            skipped["non_event"] += 1
-            continue
-        try:
-            timestamp = float(fields[3])
-            sector = int(fields[7])
-            nsectors = int(fields[9])
-        except ValueError:
-            skipped["non_event"] += 1
-            continue
-        if fields[5] != action:
-            skipped["other_action"] += 1
-            continue
-        rwbs = fields[6].upper()
-        if "R" in rwbs:
-            is_read = True  # plain reads and readahead ('RA') alike
-        elif "W" in rwbs or "D" in rwbs:
-            is_read = False  # writes; discards modelled as writes
-        else:
-            skipped["no_data"] += 1
-            continue
-        if nsectors <= 0:
-            skipped["no_data"] += 1
-            continue
-        device = fields[0]
-        source = device_ids.setdefault(device, len(device_ids))
-        yield IORequest(
-            lba=sector,
-            size=nsectors,
-            is_read=is_read,
-            arrival_time=timestamp * _MS_PER_S,
-            source_disk=source,
-        )
+    lines = iter(handle)
+    for size in sizes:
+        chunk: List[IORequest] = []
+        append = chunk.append
+        for line in lines:
+            fields = line.split()
+            if not fields:
+                _skip(skipped, "blank")
+                continue
+            # Per-event records have at least: dev cpu seq time pid
+            # action rwbs sector + nsectors.  Everything else (the
+            # blkparse per-CPU summary block, truncated lines) is
+            # skipped.
+            if len(fields) < 10 or fields[8] != "+":
+                _skip(skipped, "non_event")
+                continue
+            try:
+                arrival = float(fields[3]) * _MS_PER_S
+                sector = int(fields[7])
+                nsectors = int(fields[9])
+            except ValueError:
+                _skip(skipped, "non_event")
+                continue
+            if sector < 0 or not math.isfinite(arrival):
+                _skip(skipped, "non_event")
+                continue
+            if fields[5] != action:
+                _skip(skipped, "other_action")
+                continue
+            rwbs = fields[6].upper()
+            if "R" in rwbs:
+                is_read = True  # plain reads and readahead ('RA') alike
+            elif "W" in rwbs or "D" in rwbs:
+                is_read = False  # writes; discards modelled as writes
+            else:
+                _skip(skipped, "no_data")
+                continue
+            if nsectors <= 0:
+                _skip(skipped, "no_data")
+                continue
+            source = device_ids.setdefault(fields[0], len(device_ids))
+            append(new_request(sector, nsectors, is_read, arrival, source))
+            if len(chunk) == size:
+                break
+        if chunk:
+            yield chunk
+        if len(chunk) < size:
+            return
 
 
 _READERS: Dict[str, Callable] = {
-    "disksim": _iter_disksim,
-    "spc1": _iter_spc1,
-    "blktrace": _iter_blktrace,
+    "disksim": _read_disksim,
+    "spc1": _read_spc1,
+    "blktrace": _read_blktrace,
 }
 
 
-def iter_trace_requests(
+def iter_trace_chunks(
     path: Union[str, os.PathLike],
     trace_format: Optional[str] = None,
     skipped: Optional[Dict[str, int]] = None,
-) -> Iterator[IORequest]:
-    """Stream the requests of a trace file, one at a time.
+    chunk_requests: int = DEFAULT_CHUNK_REQUESTS,
+    limit: Optional[int] = None,
+) -> Iterator[List[IORequest]]:
+    """Stream a trace file as lists of at most ``chunk_requests``
+    requests, in file order.
 
     ``trace_format`` defaults to :func:`detect_trace_format`;
     ``skipped``, when given, accumulates per-reason counts of lines
-    the reader ignored (comments, non-event blktrace records, ...).
+    the reader ignored (comments, non-event blktrace records, ...) as
+    they are read.  ``limit`` stops reading after that many requests.
+    Chunk boundaries never change which requests, skip counts or
+    error a file yields — only how many requests one list holds.
     """
     chosen = trace_format or detect_trace_format(path)
     try:
@@ -224,9 +319,29 @@ def iter_trace_requests(
             f"unknown trace format {chosen!r}; choose from "
             f"{', '.join(TRACE_FORMATS)}"
         ) from None
+    if chunk_requests < 1:
+        raise ValueError(
+            f"chunk_requests must be >= 1, got {chunk_requests}"
+        )
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be >= 0, got {limit}")
     counts = skipped if skipped is not None else _new_skip_counts()
     with open_trace_text(path, "r") as handle:
-        yield from reader(handle, str(path), counts)
+        yield from reader(
+            handle, str(path), counts, _chunk_sizes(chunk_requests, limit)
+        )
+
+
+def iter_trace_requests(
+    path: Union[str, os.PathLike],
+    trace_format: Optional[str] = None,
+    skipped: Optional[Dict[str, int]] = None,
+    limit: Optional[int] = None,
+) -> Iterator[IORequest]:
+    """Stream the requests of a trace file, one at a time: the
+    flattened :func:`iter_trace_chunks` (same arguments)."""
+    for chunk in iter_trace_chunks(path, trace_format, skipped, limit=limit):
+        yield from chunk
 
 
 def _new_skip_counts() -> Dict[str, int]:
@@ -302,10 +417,8 @@ def convert_trace(
     chosen_out = out_format or detect_trace_format(dst)
     skipped = _new_skip_counts()
     stream: Iterable[IORequest] = iter_trace_requests(
-        src, chosen_in, skipped=skipped
+        src, chosen_in, skipped=skipped, limit=limit
     )
-    if limit is not None:
-        stream = _truncate(stream, limit)
     trace_name = name or _stem(dst)
     if sort:
         stream = Trace(stream, name=trace_name, sort=True)
@@ -321,15 +434,6 @@ def convert_trace(
         "sorted": sort,
         "skipped": {k: v for k, v in skipped.items() if v},
     }
-
-
-def _truncate(
-    stream: Iterable[IORequest], limit: int
-) -> Iterator[IORequest]:
-    for index, request in enumerate(stream):
-        if index >= limit:
-            return
-        yield request
 
 
 def _stem(path: Union[str, os.PathLike]) -> str:

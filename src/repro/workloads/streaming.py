@@ -10,10 +10,12 @@ size, not the trace length.
 
 The stream is *re-iterable* — every iteration reopens the file — so
 one ``StreamingTrace`` can be replayed against many configurations,
-exactly like an in-memory ``Trace``.  Arrival-time monotonicity is
-validated on the fly as requests are yielded; an out-of-order file
-fails loudly at the offending request instead of silently corrupting
-response times (use ``repro trace convert --sort`` to repair one).
+exactly like an in-memory ``Trace``.  Its native unit is the chunk
+(:meth:`StreamingTrace.iter_chunks`); arrival-time monotonicity is
+validated once per chunk, before the chunk is handed on, so an
+out-of-order file fails loudly at the offending request instead of
+silently corrupting response times (use ``repro trace convert
+--sort`` to repair one).
 """
 
 from __future__ import annotations
@@ -25,18 +27,15 @@ from typing import Dict, Iterator, List, Optional, Union
 from repro.disk.request import IORequest
 from repro.obs.metrics import current_metrics
 from repro.workloads.formats import (
+    DEFAULT_CHUNK_REQUESTS,
     _new_skip_counts,
     detect_trace_format,
-    iter_trace_requests,
+    iter_trace_chunks,
     stat_trace,
 )
-from repro.workloads.trace import Trace
+from repro.workloads.trace import Trace, first_out_of_order
 
 __all__ = ["DEFAULT_CHUNK_REQUESTS", "StreamingTrace"]
-
-#: Default replay chunk: large enough to amortize parse overhead,
-#: small enough that a chunk of requests is a few MB resident.
-DEFAULT_CHUNK_REQUESTS = 65536
 
 
 class StreamingTrace:
@@ -59,8 +58,10 @@ class StreamingTrace:
         self.trace_format = trace_format or detect_trace_format(path)
         self.name = name or _stem(self.path)
         self.chunk_requests = chunk_requests
-        #: Per-reason skipped-line counts of the last *complete*
-        #: iteration pass (empty until one finishes).
+        #: Per-reason skipped-line counts of the lines the last
+        #: iteration pass read, set whenever the pass stops: at the end
+        #: of the file, at a ``limit``, on an error, or when the
+        #: consumer closes it early (empty until a pass stops).
         self.last_skipped: Dict[str, int] = {}
 
     def __repr__(self) -> str:
@@ -71,22 +72,51 @@ class StreamingTrace:
 
     def __iter__(self) -> Iterator[IORequest]:
         """Yield requests in file order, enforcing monotone arrivals."""
-        last_arrival = -math.inf
+        for chunk in self.iter_chunks():
+            yield from chunk
+
+    def iter_chunks(
+        self,
+        chunk_requests: Optional[int] = None,
+        limit: Optional[int] = None,
+    ) -> Iterator[List[IORequest]]:
+        """Yield lists of at most ``chunk_requests`` requests.
+
+        This is the bounded-memory unit the replay pipeline works in:
+        at any instant only one chunk (plus in-flight requests) is
+        resident.  ``limit`` stops the pass after that many requests,
+        without parsing past the last one.
+        """
+        size = chunk_requests or self.chunk_requests
+        if size < 1:
+            raise ValueError(f"chunk_requests must be >= 1, got {size}")
         skipped = _new_skip_counts()
-        for index, request in enumerate(
-            iter_trace_requests(
-                self.path, self.trace_format, skipped=skipped
-            )
-        ):
-            if request.arrival_time < last_arrival:
-                raise ValueError(
-                    f"streaming trace {self.name!r} arrival times not "
-                    f"monotone at request {index}: "
-                    f"{request.arrival_time} after {last_arrival}; "
-                    "convert with --sort first"
-                )
-            last_arrival = request.arrival_time
-            yield request
+        last_arrival = -math.inf
+        yielded = 0
+        try:
+            for chunk in iter_trace_chunks(
+                self.path, self.trace_format, skipped, size, limit
+            ):
+                offender = first_out_of_order(chunk, last_arrival)
+                if offender is not None:
+                    previous = (
+                        chunk[offender - 1].arrival_time
+                        if offender
+                        else last_arrival
+                    )
+                    raise ValueError(
+                        f"streaming trace {self.name!r} arrival times "
+                        f"not monotone at request {yielded + offender}: "
+                        f"{chunk[offender].arrival_time} after "
+                        f"{previous}; convert with --sort first"
+                    )
+                last_arrival = chunk[-1].arrival_time
+                yielded += len(chunk)
+                yield chunk
+        finally:
+            self._record_skipped(skipped)
+
+    def _record_skipped(self, skipped: Dict[str, int]) -> None:
         self.last_skipped = {k: v for k, v in skipped.items() if v}
         metrics = current_metrics()
         if metrics.enabled and self.last_skipped:
@@ -98,29 +128,6 @@ class StreamingTrace:
             for reason, count in sorted(self.last_skipped.items()):
                 family.labels(reason=reason).inc(count)
 
-    def iter_chunks(
-        self, chunk_requests: Optional[int] = None
-    ) -> Iterator[List[IORequest]]:
-        """Yield lists of at most ``chunk_requests`` requests.
-
-        This is the bounded-memory unit the replay pipeline works in:
-        at any instant only one chunk (plus in-flight requests) is
-        resident.
-        """
-        size = chunk_requests or self.chunk_requests
-        if size < 1:
-            raise ValueError(f"chunk_requests must be >= 1, got {size}")
-        chunk: List[IORequest] = []
-        append = chunk.append
-        for request in self:
-            append(request)
-            if len(chunk) >= size:
-                yield chunk
-                chunk = []
-                append = chunk.append
-        if chunk:
-            yield chunk
-
     def materialize(self, limit: Optional[int] = None) -> Trace:
         """Read (a prefix of) the stream into an in-memory ``Trace``.
 
@@ -131,18 +138,15 @@ class StreamingTrace:
         if limit is not None and limit <= 0:
             raise ValueError(f"limit must be positive, got {limit}")
         requests: List[IORequest] = []
-        for request in self:
-            requests.append(request)
-            if limit is not None and len(requests) >= limit:
-                break
+        for chunk in self.iter_chunks(limit=limit):
+            requests.extend(chunk)
         return Trace(requests, name=self.name)
 
     def count(self) -> int:
         """Number of requests in the file (one full streaming pass)."""
-        total = 0
-        for _ in iter_trace_requests(self.path, self.trace_format):
-            total += 1
-        return total
+        return sum(
+            map(len, iter_trace_chunks(self.path, self.trace_format))
+        )
 
     def summary(self) -> Dict:
         """The same summary an in-memory ``Trace`` reports, computed

@@ -16,10 +16,13 @@ stay small on disk.
 from __future__ import annotations
 
 import gzip
+import math
+import operator
 import os
-from typing import IO, Iterable, Iterator, List, Optional, Union
+from itertools import islice
+from typing import IO, Iterable, Iterator, List, Optional, Sequence, Union
 
-from repro.disk.request import IORequest
+from repro.disk.request import IORequest, new_request
 
 __all__ = ["Trace", "load_trace", "open_trace_text", "save_trace"]
 
@@ -61,15 +64,14 @@ class Trace:
         self._validate_monotone()
 
     def _validate_monotone(self) -> None:
-        for index, (earlier, later) in enumerate(
-            zip(self.requests, self.requests[1:])
-        ):
-            if later.arrival_time < earlier.arrival_time:
-                raise ValueError(
-                    f"trace {self.name!r} arrival times not monotone at "
-                    f"request {index + 1}: {later.arrival_time} after "
-                    f"{earlier.arrival_time}; pass sort=True to reorder"
-                )
+        index = first_out_of_order(self.requests)
+        if index is not None:
+            raise ValueError(
+                f"trace {self.name!r} arrival times not monotone at "
+                f"request {index}: {self.requests[index].arrival_time} "
+                f"after {self.requests[index - 1].arrival_time}; pass "
+                "sort=True to reorder"
+            )
 
     def __len__(self) -> int:
         return len(self.requests)
@@ -142,25 +144,66 @@ def format_request_line(request: IORequest) -> str:
     )
 
 
+#: Opcode spellings of a read (``True``) or write (``False``) that
+#: the native and SPC-1 readers accept.
+KINDS = {"R": True, "r": True, "W": False, "w": False}
+
+
+def first_out_of_order(
+    requests: Sequence[IORequest], after: float = -math.inf
+) -> Optional[int]:
+    """Index of the first request arriving before its predecessor.
+
+    Request 0 is compared with ``after`` (the last arrival of whatever
+    came before this run of requests).  ``None`` means the arrivals
+    never decrease.  The ordered case is one C-level pass; only a
+    failure pays for the Python scan that locates the offender.
+    """
+    arrivals = [request.arrival_time for request in requests]
+    if not arrivals or (
+        arrivals[0] >= after
+        and all(map(operator.le, arrivals, islice(arrivals, 1, None)))
+    ):
+        return None
+    previous = after
+    for index, arrival in enumerate(arrivals):
+        if arrival < previous:
+            return index
+        previous = arrival
+    return None  # only NaN arrivals break ``<=`` without an offender
+
+
+def disksim_request(fields: Sequence[str], line: str) -> IORequest:
+    """One native-format record from its whitespace-split ``fields``.
+
+    Raises ``ValueError`` without a location; callers prefix the file
+    and line (or whatever ``where`` names) they are reading.
+    """
+    if len(fields) != 5:
+        raise ValueError(
+            f"expected 5 fields, got {len(fields)}: {line.strip()!r}"
+        )
+    arrival, disk, lba, size, kind = fields
+    is_read = KINDS.get(kind)
+    if is_read is None:
+        raise ValueError(f"kind must be R or W, got {kind!r}")
+    lba_value = int(lba)
+    size_value = int(size)
+    arrival_ms = float(arrival)
+    source = int(disk)
+    if not math.isfinite(arrival_ms):
+        raise ValueError(f"arrival time must be finite, got {arrival!r}")
+    return new_request(lba_value, size_value, is_read, arrival_ms, source)
+
+
 def parse_request_line(
     text: str, where: str = "<line>"
 ) -> IORequest:
     """Parse one non-comment trace line; ``where`` labels errors."""
-    fields = text.split()
-    if len(fields) != 5:
-        raise ValueError(
-            f"{where}: expected 5 fields, got {len(fields)}: {text!r}"
-        )
-    arrival, disk, lba, size, kind = fields
-    if kind.upper() not in ("R", "W"):
-        raise ValueError(f"{where}: kind must be R or W, got {kind!r}")
-    return IORequest(
-        lba=int(lba),
-        size=int(size),
-        is_read=kind.upper() == "R",
-        arrival_time=float(arrival),
-        source_disk=int(disk),
-    )
+    try:
+        return disksim_request(text.split(), text)
+    except ValueError as error:
+        raise ValueError(f"{where}: {error}") from None
 
 
 def save_trace(
@@ -187,17 +230,11 @@ def load_trace(
     path: Union[str, os.PathLike], name: Optional[str] = None
 ) -> Trace:
     """Read a trace written by :func:`save_trace` (or hand-authored)."""
-    requests: List[IORequest] = []
-    with open_trace_text(path, "r") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            requests.append(
-                parse_request_line(text, where=f"{path}:{line_number}")
-            )
+    # The native-format reader lives with the other formats' readers.
+    from repro.workloads.formats import iter_trace_requests
+
     base = os.path.basename(str(path))
     if base.endswith(".gz"):
         base = base[: -len(".gz")]
     trace_name = name or os.path.splitext(base)[0]
-    return Trace(requests, name=trace_name)
+    return Trace(iter_trace_requests(path, "disksim"), name=trace_name)

@@ -122,6 +122,43 @@ class TestRunJob:
         assert result_payload_bytes(coarse) == result_payload_bytes(fine)
 
 
+class TestTraceFileJobs:
+    """A trace-file job reads exactly the records it replays."""
+
+    def test_parsing_stops_at_requests(self, tmp_path):
+        path = tmp_path / "t.trace"
+        path.write_text(
+            "0.0 0 0 8 R\n1.0 0 8 8 R\n2.0 0 16 8 R\nnot a record\n"
+        )
+        payload, stats = run_job(JobSpec(trace_path=str(path), requests=3))
+        assert stats["completed"] == payload["figures"]["requests"] == 3
+        with pytest.raises(ValueError, match=r"t\.trace:4: "):
+            run_job(JobSpec(trace_path=str(path), requests=4))
+
+    def test_truncated_replay_reports_skipped_lines(self, tmp_path):
+        from repro.obs.metrics import MetricsRegistry, metrics_session
+
+        path = tmp_path / "t.trace"
+        path.write_text(
+            "# a\n0.0 0 0 8 R\n# b\n\n1.0 0 8 8 R\n# c\n2.0 0 16 8 R\n"
+        )
+        with metrics_session(MetricsRegistry()) as registry:
+            run_job(JobSpec(trace_path=str(path), requests=2))
+        family = registry.counter(
+            "repro_trace_skipped_lines_total", labels=("reason",)
+        )
+        assert family.labels(reason="comments").value == 2
+        assert family.labels(reason="blank").value == 1
+
+    @pytest.mark.parametrize("arrival", ["nan", "inf"])
+    def test_non_finite_arrival_fails_the_job(self, tmp_path, arrival):
+        path = tmp_path / "t.spc"
+        path.write_text(f"0,0,4096,R,0.0\n0,8,4096,R,{arrival}\n"
+                        "0,16,4096,R,0.002\n")
+        with pytest.raises(ValueError, match=r"t\.spc:2: .*finite"):
+            run_job(JobSpec(trace_path=str(path), requests=None))
+
+
 class TestService:
     def test_submit_enqueues_with_digests(self, tmp_path):
         record = submit(tmp_path / "q", JobSpec(**SMALL))

@@ -13,6 +13,7 @@ from repro.workloads.formats import (
     stat_trace,
     write_trace_requests,
 )
+from repro.workloads.trace import parse_request_line
 
 SPC1_LINES = """\
 0,384,8192,W,0.000000
@@ -93,6 +94,81 @@ class TestSpc1:
         path.write_text("0,0,512\n")
         with pytest.raises(ValueError, match="5 comma-separated"):
             list(iter_trace_requests(path))
+
+
+class TestRejections:
+    """Bad values fail with the file and line, never as a request."""
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("0,0,512,R,nan", "timestamp must be finite"),
+            ("0,0,512,R,inf", "timestamp must be finite"),
+            ("0,0,512,R,1e306", "timestamp must be finite"),
+            ("0,0,-512,R,0.0", "size must be non-negative"),
+            ("0,abc,512,R,0.0", "invalid literal for int"),
+            ("0,0,512,R,soon", "could not convert string to float"),
+            ("0,-8,512,R,0.0", "lba must be non-negative"),
+        ],
+    )
+    def test_spc1_bad_values(self, tmp_path, line, message):
+        path = tmp_path / "t.spc"
+        path.write_text(f"# header\n0,0,512,R,0.0\n{line}\n")
+        with pytest.raises(ValueError, match=message) as caught:
+            list(iter_trace_requests(path))
+        assert str(caught.value).startswith(f"{path}:3: ")
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("nan 0 100 8 R", "arrival time must be finite"),
+            ("-inf 0 100 8 R", "arrival time must be finite"),
+            ("1.0 0 abc 8 R", "invalid literal for int"),
+            ("1.0 0 100 0 R", "size must be positive"),
+            ("1.0 0 -1 8 W", "lba must be non-negative"),
+        ],
+    )
+    def test_disksim_bad_values(self, tmp_path, line, message):
+        path = tmp_path / "t.trace"
+        path.write_text(f"0.0 0 100 8 R\n\n{line}\n")
+        with pytest.raises(ValueError, match=message) as caught:
+            list(iter_trace_requests(path))
+        assert str(caught.value).startswith(f"{path}:3: ")
+
+    def test_parse_request_line_names_where(self):
+        with pytest.raises(ValueError, match="^here:7: arrival time"):
+            parse_request_line("nan 0 100 8 R", where="here:7")
+        with pytest.raises(ValueError, match="^here:7: invalid literal"):
+            parse_request_line("1.0 x 100 8 R", where="here:7")
+
+    def test_zero_byte_spc1_record_is_one_sector(self, tmp_path):
+        path = tmp_path / "t.spc"
+        path.write_text("0,0,0,R,0.0\n")
+        assert [r.size for r in iter_trace_requests(path)] == [1]
+
+    def test_blktrace_bad_values_are_skipped_as_non_events(self, tmp_path):
+        path = tmp_path / "t.blktrace"
+        path.write_text(
+            "  8,0 1 1 nan 1 Q R 8 + 8 [p]\n"
+            "  8,0 1 2 inf 1 Q R 8 + 8 [p]\n"
+            "  8,0 1 3 0.5 1 Q R -8 + 8 [p]\n"
+            "  8,0 1 4 1e306 1 Q R 8 + 8 [p]\n"
+            "  8,0 1 5 1.0 1 Q R 16 + 8 [p]\n"
+        )
+        skipped = {}
+        requests = list(iter_trace_requests(path, skipped=skipped))
+        assert [r.lba for r in requests] == [16]
+        assert skipped == {"non_event": 4}
+
+    def test_limit_stops_before_a_bad_record(self, tmp_path):
+        path = tmp_path / "t.spc"
+        path.write_text("0,0,512,R,0.0\n0,8,512,R,0.1\n0,x,512,R,0.2\n")
+        assert len(list(iter_trace_requests(path, limit=2))) == 2
+        with pytest.raises(ValueError, match=":3: "):
+            list(iter_trace_requests(path, limit=3))
+        assert list(iter_trace_requests(path, limit=0)) == []
+        with pytest.raises(ValueError, match="limit must be >= 0"):
+            list(iter_trace_requests(path, limit=-1))
 
 
 class TestBlktrace:

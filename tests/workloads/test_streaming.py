@@ -86,3 +86,68 @@ class TestStreamingTrace:
         assert summary["requests"] == 7
         assert summary["name"] == "renamed"
         assert summary["monotone"]
+
+    def test_non_monotone_across_a_chunk_boundary(self, tmp_path):
+        path = tmp_path / "t.trace"
+        path.write_text("1.0 0 0 8 R\n2.0 0 16 8 R\n1.5 0 32 8 R\n")
+        stream = StreamingTrace(path, chunk_requests=2)
+        with pytest.raises(ValueError, match="at request 2: 1.5 after 2.0"):
+            list(stream.iter_chunks())
+
+    def test_iter_chunks_limit_stops_reading(self, tmp_path):
+        path = tmp_path / "t.trace"
+        write_trace(path, n=10)
+        with open(path, "a") as handle:
+            handle.write("not a record\n")
+        chunks = list(StreamingTrace(path).iter_chunks(4, limit=10))
+        assert [len(c) for c in chunks] == [4, 4, 2]
+
+
+class TestSkipCounts:
+    """``last_skipped`` covers the lines a pass read, however it ends."""
+
+    TEXT = "# one\n0.0 0 0 8 R\n# two\n\n1.0 0 8 8 R\n# three\n2.0 0 16 8 R\n"
+
+    def test_full_pass(self, tmp_path):
+        path = tmp_path / "t.trace"
+        path.write_text(self.TEXT)
+        stream = StreamingTrace(path)
+        assert len(list(stream)) == 3
+        assert stream.last_skipped == {"comments": 3, "blank": 1}
+
+    def test_truncated_pass_counts_lines_read(self, tmp_path):
+        path = tmp_path / "t.trace"
+        path.write_text(self.TEXT)
+        stream = StreamingTrace(path, chunk_requests=1)
+        assert len(stream.materialize(limit=2)) == 2
+        assert stream.last_skipped == {"comments": 2, "blank": 1}
+
+    def test_early_close_counts_lines_read(self, tmp_path):
+        path = tmp_path / "t.trace"
+        path.write_text(self.TEXT)
+        stream = StreamingTrace(path, chunk_requests=1)
+        chunks = stream.iter_chunks()
+        next(chunks)
+        chunks.close()
+        assert stream.last_skipped == {"comments": 1}
+
+    def test_failed_pass_counts_lines_read(self, tmp_path):
+        path = tmp_path / "t.trace"
+        path.write_text("# one\n\n0.0 0 0 8 R\nbroken\n")
+        stream = StreamingTrace(path)
+        with pytest.raises(ValueError, match=r"t\.trace:4: "):
+            list(stream)
+        assert stream.last_skipped == {"comments": 1, "blank": 1}
+
+    def test_truncated_pass_feeds_the_metric(self, tmp_path):
+        from repro.obs.metrics import MetricsRegistry, metrics_session
+
+        path = tmp_path / "t.trace"
+        path.write_text(self.TEXT)
+        with metrics_session(MetricsRegistry()) as registry:
+            StreamingTrace(path).materialize(limit=2)
+        family = registry.counter(
+            "repro_trace_skipped_lines_total", labels=("reason",)
+        )
+        assert family.labels(reason="comments").value == 2
+        assert family.labels(reason="blank").value == 1
