@@ -32,13 +32,54 @@ Quickstart::
     print(result.mean_response_ms, result.power.total_watts)
 """
 
-from repro.disk.request import IORequest
-from repro.core.taxonomy import DashConfig
-from repro.core.parallel_disk import ParallelDisk
-from repro.disk.drive import ConventionalDrive
-from repro.sim.engine import Environment
+import importlib
 
 __version__ = "1.0.0"
+
+
+def _lazy_namespace(namespace: dict, exports: dict):
+    """PEP 562 ``__getattr__`` and ``__dir__`` for a package namespace.
+
+    ``exports`` maps each defining module to the public names the
+    package re-exports from it.  A name's module is imported on first
+    access and the value is cached in ``namespace`` (the package's
+    globals), so later lookups are plain attribute reads; a run only
+    loads the modules whose names it uses.  Unknown names raise
+    :class:`AttributeError`, which keeps ``hasattr``, three-argument
+    ``getattr`` and ``from package import submodule`` working.
+    """
+    package = namespace["__name__"]
+    where = {
+        name: module for module, names in exports.items() for name in names
+    }
+
+    def __getattr__(name: str):
+        try:
+            module = where[name]
+        except KeyError:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}"
+            ) from None
+        value = getattr(importlib.import_module(module), name)
+        namespace[name] = value
+        return value
+
+    def __dir__():
+        return sorted(namespace.keys() | where.keys())
+
+    return __getattr__, __dir__
+
+
+__getattr__, __dir__ = _lazy_namespace(
+    globals(),
+    {
+        "repro.core.parallel_disk": ("ParallelDisk",),
+        "repro.core.taxonomy": ("DashConfig",),
+        "repro.disk.drive": ("ConventionalDrive",),
+        "repro.disk.request": ("IORequest",),
+        "repro.sim.engine": ("Environment",),
+    },
+)
 
 __all__ = [
     "ConventionalDrive",

@@ -12,42 +12,41 @@ The package splits the same way :mod:`repro.faults` does:
   behind ``python -m repro chaos``.
 """
 
-from repro.chaos.failpoints import (
-    FAILPOINT_SITES,
-    NULL_FAILPOINTS,
-    NullFailpoints,
-    current_failpoints,
-    failpoints_session,
-    set_current_failpoints,
+from repro import _lazy_namespace
+
+__getattr__, __dir__ = _lazy_namespace(
+    globals(),
+    {
+        "repro.chaos.campaign": (
+            "CampaignResult",
+            "resolve_scenarios",
+            "run_campaign",
+        ),
+        "repro.chaos.failpoints": (
+            "FAILPOINT_SITES",
+            "NULL_FAILPOINTS",
+            "NullFailpoints",
+            "current_failpoints",
+            "failpoints_session",
+            "set_current_failpoints",
+        ),
+        "repro.chaos.injector": (
+            "ChaosInjector",
+            "ChaosKill",
+            "applied_events",
+        ),
+        "repro.chaos.plan": (
+            "CHAOS_KINDS",
+            "KIND_SITES",
+            "SCENARIO_ALIASES",
+            "ChaosEvent",
+            "ChaosPlan",
+            "load_chaos_plan",
+            "validate_chaos_plan",
+            "write_chaos_plan",
+        ),
+    },
 )
-from repro.chaos.injector import ChaosInjector, ChaosKill, applied_events
-from repro.chaos.plan import (
-    CHAOS_KINDS,
-    KIND_SITES,
-    SCENARIO_ALIASES,
-    ChaosEvent,
-    ChaosPlan,
-    load_chaos_plan,
-    validate_chaos_plan,
-    write_chaos_plan,
-)
-
-# The campaign runner imports the serve stack, whose modules import
-# repro.chaos.failpoints — a cycle if campaign loaded eagerly here.
-# PEP 562 lazy attributes break it: the campaign module only loads on
-# first access, long after both packages are initialised.
-_CAMPAIGN_EXPORTS = ("CampaignResult", "resolve_scenarios", "run_campaign")
-
-
-def __getattr__(name: str):
-    if name in _CAMPAIGN_EXPORTS:
-        from repro.chaos import campaign
-
-        return getattr(campaign, name)
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}"
-    )
-
 
 __all__ = [
     "CHAOS_KINDS",

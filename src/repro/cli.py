@@ -365,13 +365,8 @@ def _chaos(args) -> None:
     import json
     import tempfile
 
-    from repro.chaos import (
-        ChaosPlan,
-        load_chaos_plan,
-        resolve_scenarios,
-        run_campaign,
-        write_chaos_plan,
-    )
+    from repro.chaos.campaign import resolve_scenarios, run_campaign
+    from repro.chaos.plan import ChaosPlan, load_chaos_plan, write_chaos_plan
 
     if args.validate:
         from repro.tools.validate import validate_chaos_plan_file

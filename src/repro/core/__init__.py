@@ -12,11 +12,18 @@
   the D-dimension, realised as an array of smaller stacks).
 """
 
-from repro.core.taxonomy import DashConfig, CONVENTIONAL
-from repro.core.actuator import ArmAssembly
-from repro.core.parallel_disk import ParallelDisk
-from repro.core.extensions import OverlappedParallelDisk
-from repro.core.factory import build_dash_drive
+from repro import _lazy_namespace
+
+__getattr__, __dir__ = _lazy_namespace(
+    globals(),
+    {
+        "repro.core.actuator": ("ArmAssembly",),
+        "repro.core.extensions": ("OverlappedParallelDisk",),
+        "repro.core.factory": ("build_dash_drive",),
+        "repro.core.parallel_disk": ("ParallelDisk",),
+        "repro.core.taxonomy": ("DashConfig", "CONVENTIONAL"),
+    },
+)
 
 __all__ = [
     "ArmAssembly",

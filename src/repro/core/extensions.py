@@ -206,6 +206,6 @@ class OverlappedParallelDisk(ParallelDisk):
             self.geometry.to_physical(request.lba + request.size - 1).cylinder
         )
         self._current_cylinder = arm.cylinder
-        self._update_cache(request, address)
+        self._update_cache(request)
         self._complete(request)
         self._notify_arm_free(arm)

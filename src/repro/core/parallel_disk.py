@@ -438,19 +438,14 @@ class ParallelDisk(ConventionalDrive):
         switches disappear; the paper assumes the data channel has
         sufficient bandwidth for all evaluated designs (§4).
         """
-        base = super()._transfer_time(request)
         m = self.config.surfaces
         if m <= 1:
-            return base
-        spt, track_crossings, cylinder_crossings = (
-            self.geometry.transfer_geometry(request.lba, request.size)
+            return super()._transfer_time(request)
+        spt, _, cylinder_crossings = self.geometry.transfer_geometry(
+            request.lba, request.size
         )
-        head_switches = track_crossings - cylinder_crossings
-        streaming = self.spindle.transfer_time(request.size, spt) / m
-        hidden_switches = max(0, head_switches - cylinder_crossings * (m - 1))
-        del hidden_switches  # switches inside a cylinder are parallelised
         return (
-            streaming
+            self.spindle.transfer_time(request.size, spt) / m
             + cylinder_crossings * self.spec.seek_track_to_track_ms
         )
 

@@ -6,15 +6,22 @@
   iso-performance configuration comparison (Figure 9b).
 """
 
-from repro.cost.components import (
-    COMPONENT_COSTS,
-    ComponentCost,
-    CostRange,
-    drive_material_cost,
-)
-from repro.cost.analysis import (
-    ConfigurationCost,
-    iso_performance_comparison,
+from repro import _lazy_namespace
+
+__getattr__, __dir__ = _lazy_namespace(
+    globals(),
+    {
+        "repro.cost.analysis": (
+            "ConfigurationCost",
+            "iso_performance_comparison",
+        ),
+        "repro.cost.components": (
+            "COMPONENT_COSTS",
+            "ComponentCost",
+            "CostRange",
+            "drive_material_cost",
+        ),
+    },
 )
 
 __all__ = [

@@ -12,40 +12,47 @@ detail the paper's methodology requires:
 * :mod:`repro.disk.drive` — the conventional drive service model.
 """
 
-from repro.disk.request import IORequest
-from repro.disk.geometry import DiskGeometry, PhysicalAddress, Zone
-from repro.disk.seek import (
-    ConstantSeekModel,
-    LinearSeekModel,
-    SeekModel,
-    ThreePointSeekModel,
-    TwoPhaseSeekModel,
+from repro import _lazy_namespace
+
+__getattr__, __dir__ = _lazy_namespace(
+    globals(),
+    {
+        "repro.disk.cache": ("DiskCache",),
+        "repro.disk.defects": ("DefectMap", "RemappingDrive"),
+        "repro.disk.drive": ("ConventionalDrive", "DriveStats"),
+        "repro.disk.drpm": ("DynamicRpmDrive",),
+        "repro.disk.freeblock": ("FreeblockDrive",),
+        "repro.disk.geometry": ("DiskGeometry", "PhysicalAddress", "Zone"),
+        "repro.disk.request": ("IORequest",),
+        "repro.disk.rotation": ("Spindle",),
+        "repro.disk.scheduler": (
+            "CLookScheduler",
+            "FCFSScheduler",
+            "ForegroundFirstScheduler",
+            "QueueScheduler",
+            "SPTFScheduler",
+            "SSTFScheduler",
+            "make_scheduler",
+        ),
+        "repro.disk.seek": (
+            "ConstantSeekModel",
+            "LinearSeekModel",
+            "SeekModel",
+            "ThreePointSeekModel",
+            "TwoPhaseSeekModel",
+        ),
+        "repro.disk.specs": (
+            "BARRACUDA_ES",
+            "CHEETAH_10K",
+            "CONNERS_CP3100",
+            "DriveSpec",
+            "FUJITSU_M2361A",
+            "IBM_3380_AK4",
+            "SPEC_CATALOG",
+            "TPCH_DRIVE",
+        ),
+    },
 )
-from repro.disk.rotation import Spindle
-from repro.disk.cache import DiskCache
-from repro.disk.scheduler import (
-    CLookScheduler,
-    FCFSScheduler,
-    ForegroundFirstScheduler,
-    QueueScheduler,
-    SPTFScheduler,
-    SSTFScheduler,
-    make_scheduler,
-)
-from repro.disk.freeblock import FreeblockDrive
-from repro.disk.drpm import DynamicRpmDrive
-from repro.disk.defects import DefectMap, RemappingDrive
-from repro.disk.specs import (
-    BARRACUDA_ES,
-    CHEETAH_10K,
-    CONNERS_CP3100,
-    DriveSpec,
-    FUJITSU_M2361A,
-    IBM_3380_AK4,
-    SPEC_CATALOG,
-    TPCH_DRIVE,
-)
-from repro.disk.drive import ConventionalDrive, DriveStats
 
 __all__ = [
     "BARRACUDA_ES",

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.disk.cache import DiskCache
-from repro.disk.geometry import DiskGeometry, PhysicalAddress
+from repro.disk.geometry import DiskGeometry
 from repro.disk.request import IORequest
 from repro.disk.rotation import Spindle
 from repro.disk.scheduler import (
@@ -689,13 +689,7 @@ class ConventionalDrive:
         else:
             self.cache.invalidate(request.lba, request.size)
 
-    def _update_cache(
-        self, request: IORequest, address: Optional[PhysicalAddress] = None
-    ) -> None:
-        # ``address`` (the decoded start of the transfer) is accepted
-        # for compatibility with callers that already computed it; the
-        # read-ahead limit only needs the *end* of the transfer.
-        del address
+    def _update_cache(self, request: IORequest) -> None:
         if request.is_read:
             _, _, end_sector, end_spt = self.geometry.decode(
                 request.lba + request.size - 1

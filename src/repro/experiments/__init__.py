@@ -14,20 +14,27 @@
   fan-out every driver above runs on (``n_workers`` parameter).
 """
 
-from repro.experiments.executor import Job, sweep, sweep_by_key
-from repro.experiments.configs import (
-    build_hcsd_drive,
-    build_hcsd_system,
-    build_md_system,
-    build_raid0_system,
+from repro import _lazy_namespace
+
+__getattr__, __dir__ = _lazy_namespace(
+    globals(),
+    {
+        "repro.experiments.bottleneck": ("run_bottleneck_study",),
+        "repro.experiments.configs": (
+            "build_hcsd_drive",
+            "build_hcsd_system",
+            "build_md_system",
+            "build_raid0_system",
+        ),
+        "repro.experiments.cost_study": ("run_cost_study",),
+        "repro.experiments.executor": ("Job", "sweep", "sweep_by_key"),
+        "repro.experiments.limit_study": ("run_limit_study",),
+        "repro.experiments.parallel_study": ("run_parallel_study",),
+        "repro.experiments.raid_study": ("run_raid_study",),
+        "repro.experiments.rpm_study": ("run_rpm_study",),
+        "repro.experiments.runner": ("RunResult", "run_trace"),
+    },
 )
-from repro.experiments.runner import RunResult, run_trace
-from repro.experiments.limit_study import run_limit_study
-from repro.experiments.bottleneck import run_bottleneck_study
-from repro.experiments.parallel_study import run_parallel_study
-from repro.experiments.rpm_study import run_rpm_study
-from repro.experiments.raid_study import run_raid_study
-from repro.experiments.cost_study import run_cost_study
 
 __all__ = [
     "Job",

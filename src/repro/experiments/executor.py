@@ -40,9 +40,7 @@ bit-identical to an unobserved sweep.
 from __future__ import annotations
 
 import os
-import pickle
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -111,6 +109,8 @@ def _run_job_observed(job: Job, traced: bool, metered: bool) -> Tuple:
 
 
 def _picklable(jobs: List[Job]) -> bool:
+    import pickle
+
     try:
         pickle.dumps(jobs)
         return True
@@ -152,6 +152,8 @@ def sweep(
         # In-process: an active ambient tracer observes the jobs
         # directly, no wrapping required.
         return [job.run() for job in job_list]
+    from concurrent.futures import ProcessPoolExecutor
+
     from repro.obs.metrics import current_metrics
     from repro.obs.tracer import current_tracer
 

@@ -21,7 +21,6 @@ from repro.obs.tracer import tracer_for
 from repro.power.accounting import PowerBreakdown, array_power
 from repro.raid.array import DiskArray
 from repro.sim.engine import Environment
-from repro.sim.sharded import ShardedEngine, sharding_available
 from repro.workloads.streaming import StreamingTrace
 from repro.workloads.trace import Trace, first_out_of_order
 
@@ -143,8 +142,6 @@ def run_trace(
             raise ValueError(
                 "on_chunk/chunk_requests apply to StreamingTrace replays"
             )
-        if shards > 1 and not sharding_available():
-            shards = 1
         # ``clone()`` with no overrides is exactly this positional fast
         # path; calling it directly skips one wrapper frame per request.
         fresh: List[IORequest] = [
@@ -263,7 +260,12 @@ def run_trace(
     # it only validates here; the fork happens inside engine.run(), by
     # which point the producer must already be on the schedule (shard
     # workers purge it from their inherited copy).
-    engine = ShardedEngine(env, system, shards) if shards > 1 else None
+    engine = None
+    if shards > 1:
+        from repro.sim.sharded import ShardedEngine, sharding_available
+
+        if sharding_available():
+            engine = ShardedEngine(env, system, shards)
     env.process(producer())
     with tracer.scope(run_label):
         if tracer.enabled:

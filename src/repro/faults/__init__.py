@@ -33,24 +33,39 @@ simulation produces bit-identical figures, serial or under
 run without the faults layer at all.
 """
 
-from repro.faults.errors import DataLossError, FaultInjectionError, MediaError
-from repro.faults.injector import FaultInjector
-from repro.faults.mttdl import (
-    availability,
-    mttdl_parallel_drive,
-    mttdl_raid0,
-    mttdl_raid5,
-    mttdl_single,
+from repro import _lazy_namespace
+
+__getattr__, __dir__ = _lazy_namespace(
+    globals(),
+    {
+        "repro.faults.errors": (
+            "DataLossError",
+            "FaultInjectionError",
+            "MediaError",
+        ),
+        "repro.faults.injector": ("FaultInjector",),
+        "repro.faults.mttdl": (
+            "availability",
+            "mttdl_parallel_drive",
+            "mttdl_raid0",
+            "mttdl_raid5",
+            "mttdl_single",
+        ),
+        "repro.faults.plan": (
+            "FAULT_KINDS",
+            "FaultEvent",
+            "FaultPlan",
+            "load_fault_plan",
+            "validate_fault_plan",
+            "write_fault_plan",
+        ),
+        "repro.faults.policy": (
+            "DEFAULT_MEDIA_RETRY",
+            "ArmedMediaFault",
+            "RetryPolicy",
+        ),
+    },
 )
-from repro.faults.plan import (
-    FAULT_KINDS,
-    FaultEvent,
-    FaultPlan,
-    load_fault_plan,
-    validate_fault_plan,
-    write_fault_plan,
-)
-from repro.faults.policy import DEFAULT_MEDIA_RETRY, ArmedMediaFault, RetryPolicy
 
 __all__ = [
     "ArmedMediaFault",

@@ -8,14 +8,21 @@
   the benchmark harness output.
 """
 
-from repro.metrics.cdf import (
-    RESPONSE_TIME_EDGES_MS,
-    ROTATIONAL_LATENCY_EDGES_MS,
-    response_time_cdf,
-    rotational_latency_pdf,
+from repro import _lazy_namespace
+
+__getattr__, __dir__ = _lazy_namespace(
+    globals(),
+    {
+        "repro.metrics.cdf": (
+            "RESPONSE_TIME_EDGES_MS",
+            "ROTATIONAL_LATENCY_EDGES_MS",
+            "response_time_cdf",
+            "rotational_latency_pdf",
+        ),
+        "repro.metrics.collector": ("RequestCollector",),
+        "repro.metrics.report": ("format_cdf_table", "format_table", "hbar"),
+    },
 )
-from repro.metrics.collector import RequestCollector
-from repro.metrics.report import format_cdf_table, format_table, hbar
 
 __all__ = [
     "RESPONSE_TIME_EDGES_MS",

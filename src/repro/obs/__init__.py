@@ -38,48 +38,59 @@ Five pieces:
 See ``docs/observability.md`` for the span schema and a walkthrough.
 """
 
-from repro.obs.analysis import (
-    TraceAnalysis,
-    analyze,
-    reconcile_with_collector,
-)
-from repro.obs.export import (
-    read_chrome_trace,
-    to_chrome_trace,
-    validate_chrome_trace,
-    write_chrome_trace,
-    write_span_jsonl,
-)
-from repro.obs.metrics import (
-    NULL_METRICS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullMetrics,
-    append_snapshot_jsonl,
-    current_metrics,
-    merge_worker_snapshots,
-    metrics_for,
-    metrics_session,
-    parse_prometheus,
-    render_prometheus,
-    set_current_metrics,
-    write_prometheus,
-    write_worker_snapshot,
-)
-from repro.obs.report import render_html, render_text, write_html_report
-from repro.obs.registry import NULL_REGISTRY, TelemetryRegistry
-from repro.obs.tracer import (
-    NULL_TRACER,
-    PHASES,
-    NullTracer,
-    Span,
-    Tracer,
-    current_tracer,
-    set_current_tracer,
-    tracer_for,
-    tracing,
+from repro import _lazy_namespace
+
+__getattr__, __dir__ = _lazy_namespace(
+    globals(),
+    {
+        "repro.obs.analysis": (
+            "TraceAnalysis",
+            "analyze",
+            "reconcile_with_collector",
+        ),
+        "repro.obs.export": (
+            "read_chrome_trace",
+            "to_chrome_trace",
+            "validate_chrome_trace",
+            "write_chrome_trace",
+            "write_span_jsonl",
+        ),
+        "repro.obs.metrics": (
+            "NULL_METRICS",
+            "Counter",
+            "Gauge",
+            "Histogram",
+            "MetricsRegistry",
+            "NullMetrics",
+            "append_snapshot_jsonl",
+            "current_metrics",
+            "merge_worker_snapshots",
+            "metrics_for",
+            "metrics_session",
+            "parse_prometheus",
+            "render_prometheus",
+            "set_current_metrics",
+            "write_prometheus",
+            "write_worker_snapshot",
+        ),
+        "repro.obs.registry": ("NULL_REGISTRY", "TelemetryRegistry"),
+        "repro.obs.report": (
+            "render_html",
+            "render_text",
+            "write_html_report",
+        ),
+        "repro.obs.tracer": (
+            "NULL_TRACER",
+            "PHASES",
+            "NullTracer",
+            "Span",
+            "Tracer",
+            "current_tracer",
+            "set_current_tracer",
+            "tracer_for",
+            "tracing",
+        ),
+    },
 )
 
 __all__ = [

@@ -48,7 +48,6 @@ import json
 import math
 import os
 import re
-import tempfile
 import time
 from bisect import bisect_left
 from contextlib import contextmanager
@@ -642,6 +641,8 @@ def parse_prometheus(
 
 
 def _write_atomic(path: str, data: str) -> None:
+    import tempfile
+
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".metrics-")

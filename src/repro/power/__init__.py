@@ -9,17 +9,28 @@
   breakdown of the paper's Figures 3 and 6.
 """
 
-from repro.power.models import (
-    DrivePowerModel,
-    SPM_DIAMETER_EXPONENT,
-    SPM_RPM_EXPONENT,
-)
-from repro.power.accounting import PowerBreakdown, array_power, drive_power
-from repro.power.thermal import (
-    CONVENTIONAL_35IN_ENVELOPE,
-    EnvelopeCheck,
-    ThermalEnvelope,
-    check_design,
+from repro import _lazy_namespace
+
+__getattr__, __dir__ = _lazy_namespace(
+    globals(),
+    {
+        "repro.power.accounting": (
+            "PowerBreakdown",
+            "array_power",
+            "drive_power",
+        ),
+        "repro.power.models": (
+            "DrivePowerModel",
+            "SPM_DIAMETER_EXPONENT",
+            "SPM_RPM_EXPONENT",
+        ),
+        "repro.power.thermal": (
+            "CONVENTIONAL_35IN_ENVELOPE",
+            "EnvelopeCheck",
+            "ThermalEnvelope",
+            "check_design",
+        ),
+    },
 )
 
 __all__ = [

@@ -12,20 +12,27 @@ Provides the storage-system layer above individual drives:
   of them finish.
 """
 
-from repro.raid.layout import (
-    ConcatLayout,
-    InterleavedConcatLayout,
-    JBODLayout,
-    Layout,
-    Raid0Layout,
-    Raid1Layout,
-    Raid10Layout,
-    Raid5Layout,
-    Slice,
-    degraded_raid5_map,
+from repro import _lazy_namespace
+
+__getattr__, __dir__ = _lazy_namespace(
+    globals(),
+    {
+        "repro.raid.array": ("DiskArray",),
+        "repro.raid.layout": (
+            "ConcatLayout",
+            "InterleavedConcatLayout",
+            "JBODLayout",
+            "Layout",
+            "Raid0Layout",
+            "Raid1Layout",
+            "Raid10Layout",
+            "Raid5Layout",
+            "Slice",
+            "degraded_raid5_map",
+        ),
+        "repro.raid.maid": ("MaidArray",),
+    },
 )
-from repro.raid.array import DiskArray
-from repro.raid.maid import MaidArray
 
 __all__ = [
     "ConcatLayout",

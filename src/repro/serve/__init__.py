@@ -19,23 +19,30 @@ read, not one simulation, and returns byte-identical payloads.
   client calls the CLI wraps.
 """
 
-from repro.serve.cache import ResultCache
-from repro.serve.jobs import (
-    JobSpec,
-    cache_key,
-    code_version,
-    run_job,
-    verify_result_payload,
-)
-from repro.serve.queue import JobQueue
-from repro.serve.retry import backoff_delays, call_with_retries
-from repro.serve.service import (
-    GracefulShutdown,
-    result,
-    serve,
-    status,
-    submit,
-    worker_loop,
+from repro import _lazy_namespace
+
+__getattr__, __dir__ = _lazy_namespace(
+    globals(),
+    {
+        "repro.serve.cache": ("ResultCache",),
+        "repro.serve.jobs": (
+            "JobSpec",
+            "cache_key",
+            "code_version",
+            "run_job",
+            "verify_result_payload",
+        ),
+        "repro.serve.queue": ("JobQueue",),
+        "repro.serve.retry": ("backoff_delays", "call_with_retries"),
+        "repro.serve.service": (
+            "GracefulShutdown",
+            "result",
+            "serve",
+            "status",
+            "submit",
+            "worker_loop",
+        ),
+    },
 )
 
 __all__ = [

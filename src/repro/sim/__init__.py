@@ -8,26 +8,37 @@ trigger.  The disk, RAID, and workload models in the rest of the package
 are all built on this kernel.
 """
 
-from repro.sim.engine import (
-    AllOf,
-    AnyOf,
-    Environment,
-    Event,
-    Interrupt,
-    Process,
-    SimulationError,
-    Timeout,
+from repro import _lazy_namespace
+
+__getattr__, __dir__ = _lazy_namespace(
+    globals(),
+    {
+        "repro.sim.distributions": (
+            "BernoulliStream",
+            "ExponentialStream",
+            "NormalStream",
+            "ParetoStream",
+            "RandomStream",
+            "UniformStream",
+        ),
+        "repro.sim.engine": (
+            "AllOf",
+            "AnyOf",
+            "Environment",
+            "Event",
+            "Interrupt",
+            "Process",
+            "SimulationError",
+            "Timeout",
+        ),
+        "repro.sim.resources": ("PriorityStore", "Resource", "Store"),
+        "repro.sim.stats": (
+            "BucketHistogram",
+            "OnlineStats",
+            "TimeWeightedStat",
+        ),
+    },
 )
-from repro.sim.resources import PriorityStore, Resource, Store
-from repro.sim.distributions import (
-    BernoulliStream,
-    ExponentialStream,
-    NormalStream,
-    ParetoStream,
-    RandomStream,
-    UniformStream,
-)
-from repro.sim.stats import BucketHistogram, OnlineStats, TimeWeightedStat
 
 __all__ = [
     "AllOf",

@@ -10,19 +10,26 @@
   ``python -m repro bench``.
 """
 
-from repro.tools.bench import format_bench, run_bench, write_bench
-from repro.tools.characterize import (
-    CharacterizationReport,
-    characterize_drive,
-    estimate_rotation_period_ms,
-    estimate_seek_curve,
-    estimate_zone_bandwidth,
-)
-from repro.tools.validate import (
-    mg1_mean_response_ms,
-    validate_against_mg1,
-    validate_chaos_plan_file,
-    validate_fault_plan_file,
+from repro import _lazy_namespace
+
+__getattr__, __dir__ = _lazy_namespace(
+    globals(),
+    {
+        "repro.tools.bench": ("format_bench", "run_bench", "write_bench"),
+        "repro.tools.characterize": (
+            "CharacterizationReport",
+            "characterize_drive",
+            "estimate_rotation_period_ms",
+            "estimate_seek_curve",
+            "estimate_zone_bandwidth",
+        ),
+        "repro.tools.validate": (
+            "mg1_mean_response_ms",
+            "validate_against_mg1",
+            "validate_chaos_plan_file",
+            "validate_fault_plan_file",
+        ),
+    },
 )
 
 __all__ = [

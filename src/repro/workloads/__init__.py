@@ -16,32 +16,42 @@
   the published characteristics of Table 2.
 """
 
-from repro.workloads.trace import (
-    Trace,
-    load_trace,
-    open_trace_text,
-    save_trace,
-)
-from repro.workloads.formats import (
-    TRACE_FORMATS,
-    convert_trace,
-    detect_trace_format,
-    iter_trace_requests,
-    stat_trace,
-    write_trace_requests,
-)
-from repro.workloads.streaming import StreamingTrace
-from repro.workloads.synthetic import SyntheticWorkload
-from repro.workloads.closedloop import ClosedLoopClients, ClosedLoopResult
-from repro.workloads.bursty import BurstyWorkload
-from repro.workloads.analysis import TraceProfile, profile_trace
-from repro.workloads.commercial import (
-    COMMERCIAL_WORKLOADS,
-    CommercialWorkload,
-    FINANCIAL,
-    TPCC,
-    TPCH,
-    WEBSEARCH,
+from repro import _lazy_namespace
+
+__getattr__, __dir__ = _lazy_namespace(
+    globals(),
+    {
+        "repro.workloads.analysis": ("TraceProfile", "profile_trace"),
+        "repro.workloads.bursty": ("BurstyWorkload",),
+        "repro.workloads.closedloop": (
+            "ClosedLoopClients",
+            "ClosedLoopResult",
+        ),
+        "repro.workloads.commercial": (
+            "COMMERCIAL_WORKLOADS",
+            "CommercialWorkload",
+            "FINANCIAL",
+            "TPCC",
+            "TPCH",
+            "WEBSEARCH",
+        ),
+        "repro.workloads.formats": (
+            "TRACE_FORMATS",
+            "convert_trace",
+            "detect_trace_format",
+            "iter_trace_requests",
+            "stat_trace",
+            "write_trace_requests",
+        ),
+        "repro.workloads.streaming": ("StreamingTrace",),
+        "repro.workloads.synthetic": ("SyntheticWorkload",),
+        "repro.workloads.trace": (
+            "Trace",
+            "load_trace",
+            "open_trace_text",
+            "save_trace",
+        ),
+    },
 )
 
 __all__ = [

@@ -15,7 +15,6 @@ stay small on disk.
 
 from __future__ import annotations
 
-import gzip
 import math
 import operator
 import os
@@ -39,6 +38,8 @@ def open_trace_text(
     if mode not in ("r", "w"):
         raise ValueError(f"mode must be 'r' or 'w', got {mode!r}")
     if str(path).endswith(".gz"):
+        import gzip
+
         return gzip.open(path, mode + "t", encoding="ascii")
     return open(path, mode, encoding="ascii")
 
