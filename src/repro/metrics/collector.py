@@ -21,11 +21,19 @@ from repro.sim.stats import BucketHistogram, OnlineStats, percentile
 __all__ = ["RequestCollector"]
 
 
+#: Records a ``keep_samples=False`` collector buffers between folds.
+_FOLD_BATCH = 4096
+
+
 class RequestCollector:
     """Accumulates per-request measurements from completion callbacks.
 
     Attach with ``drive.on_complete.append(collector)`` (the instance
     is callable) or pass completed requests to :meth:`record` manually.
+
+    :meth:`record` only appends samples and bumps counters; the stats
+    and histograms fold the samples not yet folded, in order, whenever
+    one of them is read, so when they are read never changes a figure.
     """
 
     def __init__(self, keep_samples: bool = True):
@@ -33,13 +41,20 @@ class RequestCollector:
         self.response_times: List[float] = []
         self.rotational_latencies: List[float] = []
         self.seek_times: List[float] = []
-        self.response_stats = OnlineStats()
-        self.rotational_stats = OnlineStats()
-        self.seek_stats = OnlineStats()
-        self.response_histogram = BucketHistogram(
+        # record() appends to the sample lists, or without keep_samples
+        # to buffers that every fold empties.
+        self._responses = self.response_times if keep_samples else []
+        self._rotationals = self.rotational_latencies if keep_samples else []
+        self._seeks = self.seek_times if keep_samples else []
+        # Leading response and media samples the aggregates hold.
+        self._folded = self._folded_media = 0
+        self._response_stats = OnlineStats()
+        self._rotational_stats = OnlineStats()
+        self._seek_stats = OnlineStats()
+        self._response_histogram = BucketHistogram(
             list(RESPONSE_TIME_EDGES_MS)
         )
-        self.rotational_histogram = BucketHistogram(
+        self._rotational_histogram = BucketHistogram(
             list(ROTATIONAL_LATENCY_EDGES_MS)
         )
         self.completed = 0
@@ -51,99 +66,96 @@ class RequestCollector:
         self.record(request)
 
     def record(self, request: IORequest) -> None:
-        # One record() per completed request is the collector's whole
-        # hot path; the Welford and histogram updates are inlined with
-        # the exact operation order of OnlineStats.add and
-        # BucketHistogram.add so merged/streamed results stay
-        # bit-identical to the method-call path.
         # ``request.response_time`` inlined (completion - arrival): the
         # property's not-yet-complete guard costs a frame per request
         # and completion hooks only ever see completed requests.
-        response = request.completion_time - request.arrival_time
+        responses = self._responses
+        responses.append(request.completion_time - request.arrival_time)
         self.completed += 1
-        stats = self.response_stats
-        stats.count = count = stats.count + 1
-        stats.total += response
-        delta = response - stats._mean
-        stats._mean = mean = stats._mean + delta / count
-        stats._m2 += delta * (response - mean)
-        if response < stats.minimum:
-            stats.minimum = response
-        if response > stats.maximum:
-            stats.maximum = response
-        histogram = self.response_histogram
-        histogram.counts[bisect_left(histogram.edges, response)] += 1
-        histogram.total += 1
         if request.is_read:
             self.reads += 1
         if request.cache_hit:
             self.cache_hits += 1
         else:
-            rotational = request.rotational_latency
             seek = request.seek_time
-            stats = self.rotational_stats
-            stats.count = count = stats.count + 1
-            stats.total += rotational
-            delta = rotational - stats._mean
-            stats._mean = mean = stats._mean + delta / count
-            stats._m2 += delta * (rotational - mean)
-            if rotational < stats.minimum:
-                stats.minimum = rotational
-            if rotational > stats.maximum:
-                stats.maximum = rotational
-            histogram = self.rotational_histogram
-            histogram.counts[bisect_left(histogram.edges, rotational)] += 1
-            histogram.total += 1
-            stats = self.seek_stats
-            stats.count = count = stats.count + 1
-            stats.total += seek
-            delta = seek - stats._mean
-            stats._mean = mean = stats._mean + delta / count
-            stats._m2 += delta * (seek - mean)
-            if seek < stats.minimum:
-                stats.minimum = seek
-            if seek > stats.maximum:
-                stats.maximum = seek
+            self._rotationals.append(request.rotational_latency)
+            self._seeks.append(seek)
             if seek > 0.0:
                 self.nonzero_seeks += 1
-            if self.keep_samples:
-                self.rotational_latencies.append(rotational)
-                self.seek_times.append(seek)
+        if not self.keep_samples and len(responses) >= _FOLD_BATCH:
+            self._catch_up()
+
+    def _catch_up(self) -> None:
+        """Fold the samples recorded since the last fold, in order."""
+        done, media = self._folded, self._folded_media
+        if done == len(self._responses):
+            return
+        # A slice is a copy: fold whole lists from their start in place.
+        responses = self._responses[done:] if done else self._responses
+        rotationals = self._rotationals
+        seeks = self._seeks
+        if media:
+            rotationals, seeks = rotationals[media:], seeks[media:]
+        _fold_samples(
+            self._response_stats, self._response_histogram, responses
+        )
+        _fold_samples(
+            self._rotational_stats, self._rotational_histogram, rotationals
+        )
+        _fold_samples(self._seek_stats, None, seeks)
         if self.keep_samples:
-            self.response_times.append(response)
+            self._folded += len(responses)
+            self._folded_media += len(seeks)
+        else:
+            for buffer in (self._responses, self._rotationals, self._seeks):
+                buffer.clear()
+
+    @property
+    def response_stats(self) -> OnlineStats:
+        self._catch_up()
+        return self._response_stats
+
+    @property
+    def rotational_stats(self) -> OnlineStats:
+        self._catch_up()
+        return self._rotational_stats
+
+    @property
+    def seek_stats(self) -> OnlineStats:
+        self._catch_up()
+        return self._seek_stats
+
+    @property
+    def response_histogram(self) -> BucketHistogram:
+        self._catch_up()
+        return self._response_histogram
+
+    @property
+    def rotational_histogram(self) -> BucketHistogram:
+        self._catch_up()
+        return self._rotational_histogram
 
     def fold(self, chunk: "RequestCollector") -> None:
         """Continue this collector over ``chunk``'s retained samples.
 
-        ``chunk`` must keep samples.  Its completions are applied in
-        their recorded order with the same sequential Welford and
-        histogram updates as :meth:`record`, so folding every chunk of
-        a run, in order, leaves this collector bit-identical to one
-        that recorded each completion itself.  :meth:`merge`'s
-        parallel Welford formula rounds differently and cannot stand
-        in for it.
+        ``chunk`` must keep samples.  Its completions join this
+        collector's in their recorded order and fold like recorded
+        ones, so folding every chunk of a run, in order, leaves this
+        collector bit-identical to one that recorded each completion
+        itself.  :meth:`merge`'s parallel Welford formula rounds
+        differently and cannot stand in for it.
         """
         if not chunk.keep_samples:
             raise ValueError("fold needs a chunk that kept its samples")
-        _fold_samples(
-            self.response_stats,
-            self.response_histogram,
-            chunk.response_times,
-        )
-        _fold_samples(
-            self.rotational_stats,
-            self.rotational_histogram,
-            chunk.rotational_latencies,
-        )
-        _fold_samples(self.seek_stats, None, chunk.seek_times)
+        self._responses.extend(chunk.response_times)
+        self._rotationals.extend(chunk.rotational_latencies)
+        self._seeks.extend(chunk.seek_times)
         self.completed += chunk.completed
         self.cache_hits += chunk.cache_hits
         self.reads += chunk.reads
         self.nonzero_seeks += chunk.nonzero_seeks
-        if self.keep_samples:
-            self.response_times.extend(chunk.response_times)
-            self.rotational_latencies.extend(chunk.rotational_latencies)
-            self.seek_times.extend(chunk.seek_times)
+        if not self.keep_samples:
+            self._catch_up()
 
     def merge(self, other: "RequestCollector") -> "RequestCollector":
         """Return a new collector combining this one and ``other``.
@@ -159,17 +171,17 @@ class RequestCollector:
         merged = RequestCollector(
             keep_samples=self.keep_samples and other.keep_samples
         )
-        merged.response_stats = self.response_stats.merge(
+        merged._response_stats = self.response_stats.merge(
             other.response_stats
         )
-        merged.rotational_stats = self.rotational_stats.merge(
+        merged._rotational_stats = self.rotational_stats.merge(
             other.rotational_stats
         )
-        merged.seek_stats = self.seek_stats.merge(other.seek_stats)
-        merged.response_histogram = self.response_histogram.merge(
+        merged._seek_stats = self.seek_stats.merge(other.seek_stats)
+        merged._response_histogram = self.response_histogram.merge(
             other.response_histogram
         )
-        merged.rotational_histogram = self.rotational_histogram.merge(
+        merged._rotational_histogram = self.rotational_histogram.merge(
             other.rotational_histogram
         )
         merged.completed = self.completed + other.completed
@@ -177,13 +189,14 @@ class RequestCollector:
         merged.reads = self.reads + other.reads
         merged.nonzero_seeks = self.nonzero_seeks + other.nonzero_seeks
         if merged.keep_samples:
-            merged.response_times = (
-                self.response_times + other.response_times
-            )
-            merged.rotational_latencies = (
-                self.rotational_latencies + other.rotational_latencies
-            )
-            merged.seek_times = self.seek_times + other.seek_times
+            for side in (self, other):
+                merged.response_times.extend(side.response_times)
+                merged.rotational_latencies.extend(
+                    side.rotational_latencies
+                )
+                merged.seek_times.extend(side.seek_times)
+            merged._folded = len(merged.response_times)
+            merged._folded_media = len(merged.seek_times)
         return merged
 
     # -- summaries --------------------------------------------------------
@@ -261,8 +274,9 @@ def _fold_samples(
     histogram: Optional[BucketHistogram],
     samples: List[float],
 ) -> None:
-    """:meth:`RequestCollector.record`'s per-sample updates of ``stats``
-    (and ``histogram``), applied to ``samples`` in order."""
+    """:meth:`OnlineStats.add <repro.sim.stats.OnlineStats.add>` on
+    ``stats`` (and :meth:`BucketHistogram.add` on ``histogram``) for
+    each of ``samples`` in order, as one tight loop."""
     count = stats.count
     total = stats.total
     mean = stats._mean

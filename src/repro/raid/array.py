@@ -6,7 +6,8 @@ translated into physical slices, issued to the member drives (phase by
 phase, for RAID-5 read-modify-write), and completed when the last slice
 finishes.  The logical request's measurement fields are stamped from
 the slice that finished last, so response-time metrics reflect the
-critical path.
+critical path.  Identity layouts (JBOD, concatenation) instead hand the
+logical request itself to its one drive extent.
 """
 
 from __future__ import annotations
@@ -94,20 +95,22 @@ class DiskArray:
         self.unrecovered_requests = 0
         self.aborted_requests = 0
         self._external_feedback = False
-        #: Pre-resolved single-slice translation for the passthrough
+        #: Pre-resolved identity translation for the passthrough
         #: layouts (JBOD routes by source disk unchanged; concatenation
-        #: lands ``base[source] + lba`` on drive 0).  ``submit`` uses it
-        #: to skip the ``_map``/``map_request``/``Slice`` round trip on
-        #: the healthy, policy-free path; anything it cannot validate
-        #: falls back to ``_map`` so error behaviour is unchanged.
-        #: Exact-type checks: a layout subclass may override mapping.
+        #: lands ``base[source] + lba`` on drive 0) as ``(sources,
+        #: capacities, bases or None)``.  ``submit`` uses it to serve
+        #: the logical request in place on the healthy, policy-free
+        #: path; anything it cannot validate falls back to ``_map`` so
+        #: error behaviour is unchanged.  Exact-type checks: a layout
+        #: subclass may override mapping.
         self._fast_map: Optional[tuple] = None
         if type(layout) is JBODLayout:
-            self._fast_map = (list(layout.disk_capacities), None)
+            capacities = list(layout.disk_capacities)
+            self._fast_map = (len(capacities), capacities, None)
         elif type(layout) is ConcatLayout:
+            capacities = list(layout.source_capacities)
             self._fast_map = (
-                list(layout.source_capacities),
-                list(layout._bases),
+                len(capacities), capacities, list(layout._bases)
             )
 
     # -- drive-like interface -------------------------------------------------
@@ -166,28 +169,20 @@ class DiskArray:
             and self._failed_disk is None
             and self.retry_policy is None
         ):
-            capacities, bases = fast
+            sources, capacities, bases = fast
             source = request.source_disk
-            lba = request.lba
-            size = request.size
-            if 0 <= source < len(capacities) and (
-                lba + size <= capacities[source]
+            if 0 <= source < sources and (
+                request.lba + request.size <= capacities[source]
             ):
-                env = self.env
-                completion = Event(env)
+                completion = Event(self.env)
                 self._outstanding[request.request_id] = completion
                 if bases is None:
-                    disk = source
+                    drive = self.drives[source]
                 else:
-                    disk = 0
-                    lba += bases[source]
-                physical = request.clone_slice(
-                    lba, size, request.is_read, env._now, disk
-                )
-                self.drives[disk].submit(physical).callbacks.append(
-                    lambda event: self._finish_single(
-                        request, physical, completion
-                    )
+                    drive = self.drives[0]
+                    request.lba += bases[source]
+                drive.submit(request).callbacks.append(
+                    self._finish_in_place
                 )
                 return completion
             # Out-of-range extent: let the layout raise its own error.
@@ -203,11 +198,11 @@ class DiskArray:
             # byte-for-byte the policy-free controller.
             self.env.process(self._run_retry(request, slices, completion))
         elif len(slices) == 1:
-            # Fast path for the overwhelmingly common case (JBOD,
-            # concatenation, unstriped RAID-0 accesses): one physical
-            # slice needs no coordinating process or AllOf barrier — a
-            # completion callback on the drive event finishes the
-            # logical request at the same simulated instant.
+            # One physical slice (an unstriped RAID-0 access, a layout
+            # subclass's identity map) needs no coordinating process or
+            # AllOf barrier — a completion callback on the drive event
+            # finishes the logical request at the same simulated
+            # instant.
             piece = slices[0]
             physical = request.clone_slice(
                 piece.lba,
@@ -224,6 +219,29 @@ class DiskArray:
         else:
             self.env.process(self._run(request, slices, completion))
         return completion
+
+    def _finish_in_place(self, event: Event) -> None:
+        """Complete a logical request its drive serviced in place.
+
+        The drive stamped the measurements; restore the logical address
+        and ``start_service`` as :meth:`_finish_single` leaves them.
+        """
+        request = event.value
+        bases = self._fast_map[2]
+        if bases is not None:
+            request.lba -= bases[request.source_disk]
+        completion = self._outstanding.pop(request.request_id, None)
+        if completion is None:
+            # Failed with DataLossError (member loss) while the drive
+            # still had it; the late drive completion is a no-op.
+            return
+        request.start_service = request.arrival_time
+        self.requests_completed += 1
+        if self.tracer.enabled:
+            self._record_logical_span(request, slices=1, phases=1)
+        completion.succeed(request)
+        for callback in self.on_complete:
+            callback(request)
 
     def _finish_single(
         self,

@@ -23,10 +23,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import asdict, dataclass
 from typing import Dict, Optional, Tuple
 
+from repro.workloads.formats import TRACE_FORMATS
 from repro.workloads.streaming import (
     DEFAULT_CHUNK_REQUESTS,
     StreamingTrace,
@@ -74,6 +76,39 @@ class JobSpec:
     chunk_requests: int = DEFAULT_CHUNK_REQUESTS
 
     def validate(self) -> None:
+        """Raise ``ValueError`` unless every field has a usable type and
+        range.  Specs arrive as JSON from clients, so ``True`` is not a
+        count and ``"10"`` is not a number."""
+        for name in ("workload", "trace_path", "trace_format"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, str):
+                raise ValueError(
+                    f"{name} must be a string or None, got {value!r}"
+                )
+        if self.trace_format is not None and (
+            self.trace_format not in TRACE_FORMATS
+        ):
+            raise ValueError(
+                f"trace_format must be one of {TRACE_FORMATS} or None, "
+                f"got {self.trace_format!r}"
+            )
+        if self.requests is not None and not _is_int(self.requests):
+            raise ValueError(
+                f"requests must be an int or None, got {self.requests!r}"
+            )
+        if self.seed is not None and not _is_int(self.seed):
+            raise ValueError(
+                f"seed must be an int or None, got {self.seed!r}"
+            )
+        for name in ("actuators", "disks", "chunk_requests"):
+            value = getattr(self, name)
+            if not _is_int(value) or value < 1:
+                raise ValueError(f"{name} must be an int >= 1, got {value!r}")
+        if self.rpm is not None and not _is_finite_positive(self.rpm):
+            raise ValueError(
+                f"rpm must be a finite positive number or None, got "
+                f"{self.rpm!r}"
+            )
         if bool(self.workload) == bool(self.trace_path):
             raise ValueError(
                 "exactly one of workload and trace_path must be set"
@@ -106,18 +141,6 @@ class JobSpec:
                     f"requests must be positive or None, got "
                     f"{self.requests}"
                 )
-            if self.disks < 1:
-                raise ValueError(
-                    f"disks must be >= 1, got {self.disks}"
-                )
-        if self.actuators < 1:
-            raise ValueError(
-                f"actuators must be >= 1, got {self.actuators}"
-            )
-        if self.chunk_requests < 1:
-            raise ValueError(
-                f"chunk_requests must be >= 1, got {self.chunk_requests}"
-            )
 
     def to_dict(self) -> Dict:
         payload = asdict(self)
@@ -126,6 +149,11 @@ class JobSpec:
 
     @classmethod
     def from_dict(cls, payload: Dict) -> "JobSpec":
+        if not isinstance(payload, dict):
+            raise ValueError(
+                f"a job spec must be a JSON object, got "
+                f"{type(payload).__name__}"
+            )
         data = dict(payload)
         schema = data.pop("schema", JOB_SCHEMA)
         if schema != JOB_SCHEMA:
@@ -136,7 +164,7 @@ class JobSpec:
         unknown = set(data) - {f for f in cls.__dataclass_fields__}
         if unknown:
             raise ValueError(
-                f"unknown job fields: {sorted(unknown)}"
+                f"unknown job fields: {sorted(unknown, key=repr)}"
             )
         spec = cls(**data)
         spec.validate()
@@ -161,6 +189,21 @@ class JobSpec:
         return _sha256_json(
             {"generated": self.workload, "seed": self.seed}
         )
+
+
+def _is_int(value) -> bool:
+    """An int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite_positive(value) -> bool:
+    """A non-bool int or float that is a positive, finite float."""
+    if not (_is_int(value) or isinstance(value, float)):
+        return False
+    try:
+        return 0.0 < float(value) < math.inf
+    except OverflowError:
+        return False
 
 
 def _sha256_json(value) -> str:

@@ -9,7 +9,12 @@ from repro.disk.scheduler import FCFSScheduler
 from repro.faults.errors import DataLossError
 from repro.faults.policy import RetryPolicy
 from repro.raid.array import DiskArray
-from repro.raid.layout import Raid0Layout, Raid5Layout
+from repro.raid.layout import (
+    ConcatLayout,
+    JBODLayout,
+    Raid0Layout,
+    Raid5Layout,
+)
 from repro.sim.engine import Environment
 
 
@@ -188,25 +193,46 @@ class TestRebuildGuards:
 
 
 class TestNonRedundantFailure:
-    def build_raid0(self, tiny_spec):
+    """A member failure on a layout without redundancy loses the data.
+
+    JBOD and concatenation serve a logical request in place on its
+    drive, RAID-0 through a cloned slice; either way the in-flight
+    request fails with DataLossError and the drive's late completion
+    changes nothing but the request's address, which reads logical
+    again.  The request sits on source disk 1, so concatenation maps
+    it at a non-zero base.
+    """
+
+    @pytest.fixture(params=["raid0", "jbod", "concat"])
+    def failing_array(self, request, tiny_spec):
         env = Environment()
         members = [
             ConventionalDrive(env, tiny_spec, scheduler=FCFSScheduler())
-            for _ in range(2)
+            for _ in range(1 if request.param == "concat" else 2)
         ]
-        array = DiskArray(
-            env, members, Raid0Layout(2, 50_000, stripe_unit=64)
-        )
-        return env, array
+        if request.param == "raid0":
+            layout = Raid0Layout(2, 50_000, stripe_unit=64)
+        elif request.param == "jbod":
+            layout = JBODLayout([50_000] * 2)
+        else:
+            layout = ConcatLayout([50_000] * 2)
+        return env, DiskArray(env, members, layout)
 
-    def test_outstanding_requests_fail_deterministically(self, tiny_spec):
-        env, array = self.build_raid0(tiny_spec)
+    @staticmethod
+    def in_flight_request():
+        return IORequest(
+            lba=128, size=64, is_read=True, arrival_time=0.0, source_disk=1
+        )
+
+    def test_outstanding_requests_fail_deterministically(
+        self, failing_array
+    ):
+        env, array = failing_array
+        request = self.in_flight_request()
         outcomes = []
 
         def client():
-            completion = array.submit(
-                IORequest(lba=0, size=64, is_read=True, arrival_time=0.0)
-            )
+            completion = array.submit(request)
             try:
                 yield completion
                 outcomes.append("completed")
@@ -223,14 +249,18 @@ class TestNonRedundantFailure:
         assert outcomes == ["lost"]
         assert array.aborted_requests == 1
         assert array.outstanding == 0
+        assert array.requests_completed == 0
+        # The drive finished the access after the abort.
+        assert sum(d.stats.requests_completed for d in array.drives) == 1
+        assert request.lba == 128
+        assert request.source_disk == 1
 
-    def test_fire_and_forget_submissions_are_safe(self, tiny_spec):
+    def test_fire_and_forget_submissions_are_safe(self, failing_array):
         # Nobody waits on the completion event; the abort must defuse
         # it rather than crash the run with an unhandled failure.
-        env, array = self.build_raid0(tiny_spec)
-        array.submit(
-            IORequest(lba=0, size=64, is_read=True, arrival_time=0.0)
-        )
+        env, array = failing_array
+        request = self.in_flight_request()
+        array.submit(request)
 
         def failer():
             yield env.timeout(0.01)
@@ -239,3 +269,5 @@ class TestNonRedundantFailure:
         env.process(failer())
         env.run()
         assert array.aborted_requests == 1
+        assert array.outstanding == 0
+        assert request.lba == 128

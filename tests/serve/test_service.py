@@ -8,9 +8,11 @@ byte-identical payloads.
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.serve.cache import ResultCache
 from repro.serve.jobs import (
+    JOB_SCHEMA,
     JobSpec,
     cache_key,
     code_version,
@@ -21,6 +23,30 @@ from repro.serve.queue import JobQueue
 from repro.serve.service import result, status, submit, worker_loop
 
 SMALL = dict(workload="websearch", requests=200)
+
+#: Hostile JobSpec payloads: every field name plus stray keys, and
+#: JSON values of every type beside values a valid spec would hold.
+_SPEC_KEYS = st.one_of(
+    st.sampled_from(sorted(JobSpec.__dataclass_fields__) + ["schema"]),
+    st.text(max_size=6),
+    st.integers(),
+)
+_SPEC_VALUES = st.one_of(
+    st.recursive(
+        st.none()
+        | st.booleans()
+        | st.integers()
+        | st.floats()
+        | st.text(max_size=8),
+        lambda children: st.lists(children, max_size=3)
+        | st.dictionaries(st.text(max_size=4), children, max_size=3),
+        max_leaves=6,
+    ),
+    st.sampled_from(
+        ["websearch", "tpcc", "hcsd", "md", "spc1", "t.trace", JOB_SCHEMA]
+    ),
+    st.integers(1, 8),
+)
 
 
 class TestJobSpec:
@@ -54,6 +80,69 @@ class TestJobSpec:
         payload["schema"] = "repro-job/999"
         with pytest.raises(ValueError, match="schema"):
             JobSpec.from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("rpm", "fast"),
+            ("rpm", -5400),
+            ("rpm", 0),
+            ("rpm", float("nan")),
+            ("rpm", float("inf")),
+            pytest.param("rpm", 10**400, id="rpm-huge-int"),
+            ("rpm", True),
+            ("seed", "x"),
+            ("seed", 1.0),
+            ("seed", False),
+            ("actuators", 1.5),
+            ("actuators", "2"),
+            ("actuators", True),
+            ("actuators", 0),
+            ("requests", 10.5),
+            ("requests", True),
+            ("requests", "10"),
+            ("disks", "3"),
+            ("disks", 0),
+            ("chunk_requests", None),
+            ("system", ["hcsd"]),
+            ("workload", ["websearch"]),
+            ("trace_format", "csv"),
+        ],
+    )
+    def test_bad_field_types_and_ranges_rejected(self, field, value):
+        payload = JobSpec(**SMALL).to_dict()
+        payload[field] = value
+        with pytest.raises(ValueError):
+            JobSpec.from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"rpm": 5400}, {"rpm": 5400.0}, {"seed": 7}, {"seed": None}],
+    )
+    def test_numeric_fields_accept_json_numbers(self, overrides):
+        payload = dict(JobSpec(**SMALL).to_dict(), **overrides)
+        assert JobSpec.from_dict(payload).to_dict() == payload
+
+    def test_non_object_payload_rejected(self):
+        with pytest.raises(ValueError, match="JSON object"):
+            JobSpec.from_dict(["websearch"])
+
+    def test_unknown_keys_of_any_type_rejected(self):
+        payload = JobSpec(**SMALL).to_dict()
+        payload[3] = "x"
+        payload["surprise"] = 1
+        with pytest.raises(ValueError, match="unknown job fields"):
+            JobSpec.from_dict(payload)
+
+    @settings(max_examples=300, deadline=None)
+    @given(payload=st.dictionaries(_SPEC_KEYS, _SPEC_VALUES, max_size=12))
+    def test_from_dict_returns_a_spec_or_raises_value_error(self, payload):
+        try:
+            spec = JobSpec.from_dict(payload)
+        except ValueError:
+            return
+        assert JobSpec.from_dict(spec.to_dict()) == spec
+        spec.config_digest()
 
     def test_chunk_size_excluded_from_cache_key(self):
         a = JobSpec(**SMALL, chunk_requests=100)
