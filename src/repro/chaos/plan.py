@@ -168,7 +168,7 @@ def _validate_event(payload, index: Optional[int]) -> List[str]:
         problems.append(
             f"{where}: site {site!r} is not a known failpoint site"
         )
-    elif kind in KIND_SITES and site not in KIND_SITES[kind]:
+    elif kind in CHAOS_KINDS and site not in KIND_SITES[kind]:
         problems.append(
             f"{where}: kind {kind!r} cannot target site {site!r} "
             f"(eligible: {list(KIND_SITES[kind])})"
@@ -203,7 +203,7 @@ def _validate_event(payload, index: Optional[int]) -> List[str]:
         if (
             not isinstance(skew_s, (int, float))
             or isinstance(skew_s, bool)
-            or not math.isfinite(skew_s)
+            or not _finite(skew_s)
             or skew_s == 0.0
         ):
             problems.append(
@@ -217,7 +217,7 @@ def _validate_event(payload, index: Optional[int]) -> List[str]:
         if (
             not isinstance(hang_s, (int, float))
             or isinstance(hang_s, bool)
-            or not math.isfinite(hang_s)
+            or not _finite(hang_s)
             or hang_s <= 0.0
         ):
             problems.append(
@@ -231,8 +231,18 @@ def _validate_event(payload, index: Optional[int]) -> List[str]:
         "truncate_at", "skew_s", "hang_s",
     }
     if unknown:
-        problems.append(f"{where}: unknown fields {sorted(unknown)}")
+        problems.append(
+            f"{where}: unknown fields {sorted(unknown, key=repr)}"
+        )
     return problems
+
+
+def _finite(value) -> bool:
+    """``math.isfinite``, but False for an int beyond float range."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def validate_chaos_plan(payload) -> List[str]:
@@ -259,7 +269,7 @@ def validate_chaos_plan(payload) -> List[str]:
         problems.append(f"plan: seed must be an int or null, got {seed!r}")
     unknown = set(payload) - {"version", "events", "seed"}
     if unknown:
-        problems.append(f"plan: unknown fields {sorted(unknown)}")
+        problems.append(f"plan: unknown fields {sorted(unknown, key=repr)}")
     return problems
 
 
@@ -398,7 +408,14 @@ def write_chaos_plan(plan: ChaosPlan, path: str) -> str:
 
 
 def load_chaos_plan(path: str) -> ChaosPlan:
-    """Load and validate a chaos plan from a JSON file."""
+    """Load and validate a chaos plan from a JSON file.
+
+    Raises ``OSError`` when the file cannot be read and ``ValueError``
+    for anything wrong with its contents.
+    """
     with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
+        try:
+            payload = json.load(handle)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
     return ChaosPlan.from_dict(payload)

@@ -1090,7 +1090,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "delta mode: re-time every cell of a bench snapshot "
-            "(per-workload serial passes, kernel, scheduler kinds) "
+            "(per-workload serial passes, kernel) "
             "and report current vs baseline events/s instead of "
             "profiling"
         ),

@@ -22,7 +22,6 @@ multiple channels) live in :mod:`repro.core.extensions`.
 
 from __future__ import annotations
 
-from bisect import insort
 from typing import List, Optional, Tuple
 
 from repro.core.actuator import ArmAssembly
@@ -355,38 +354,7 @@ class ParallelDisk(ConventionalDrive):
         request.arm_id = arm.arm_id
         if self.dispatch_listener is not None:
             self.dispatch_listener(request, total)
-        env = self.env
-        pool = env._timeout_pool
-        if pool:
-            # Inlined Environment.timeout pool path: ``total`` is a sum
-            # of non-negative phases, so the negative-delay check can't
-            # fire.  One combined service wait per media access makes
-            # this the drive's hottest yield.  See engine.timeout for
-            # the canonical body.
-            wait = pool.pop()
-            wait.delay = total
-            wait._value = None
-            wait._ok = True
-            wait.defused = False
-            env._eid += 1
-            calendar = env._calendar
-            if calendar is not None and (
-                calendar._cursor > calendar._nbuckets
-            ):
-                current = calendar._current
-                insort(
-                    current, (-env._now - total, -1, -env._eid, wait)
-                )
-                if len(current) > calendar._spill_limit:
-                    calendar._rest += len(current)
-                    calendar._overflow.extend(current)
-                    del current[:]
-                    calendar._reseed()
-            else:
-                env._queue.push(env._now + total, 1, env._eid, wait)
-            yield wait
-        else:
-            yield env.timeout(total)
+        yield self.env.timeout(total)
         # Post-service accounting with stats bound once and the
         # record_arm_seek / record_service / move_to bodies inlined
         # (drives preallocate per_arm_seek_ms at construction, and

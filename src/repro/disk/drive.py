@@ -18,7 +18,6 @@ power model in :mod:`repro.power`.
 from __future__ import annotations
 
 import zlib
-from bisect import insort
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -261,14 +260,13 @@ class ConventionalDrive:
                 f"{request} exceeds drive capacity "
                 f"({self.geometry.total_sectors} sectors)"
             )
-        # Direct Event construction and ``_ok`` check: submit runs once
-        # per physical request, so the env.event() factory frame and the
-        # ``triggered`` property call are both worth skipping.
+        # Direct Event construction: submit runs once per physical
+        # request, so the env.event() factory frame is worth skipping.
         completion = Event(self.env)
         self._completions[request.request_id] = completion
         self._pending.append(request)
         wakeup = self._wakeup
-        if wakeup is not None and wakeup._ok is None:
+        if wakeup is not None and not wakeup.triggered:
             wakeup.succeed()
         return completion
 
@@ -516,36 +514,7 @@ class ConventionalDrive:
         request.transfer_time = bus_ms
         if self.dispatch_listener is not None:
             self.dispatch_listener(request, total)
-        env = self.env
-        pool = env._timeout_pool
-        if pool:
-            # Inlined Environment.timeout pool path (``total`` is a sum
-            # of non-negative terms, so its negative-delay check can't
-            # fire); see engine.timeout for the canonical body.
-            wait = pool.pop()
-            wait.delay = total
-            wait._value = None
-            wait._ok = True
-            wait.defused = False
-            env._eid += 1
-            calendar = env._calendar
-            if calendar is not None and (
-                calendar._cursor > calendar._nbuckets
-            ):
-                current = calendar._current
-                insort(
-                    current, (-env._now - total, -1, -env._eid, wait)
-                )
-                if len(current) > calendar._spill_limit:
-                    calendar._rest += len(current)
-                    calendar._overflow.extend(current)
-                    del current[:]
-                    calendar._reseed()
-            else:
-                env._queue.push(env._now + total, 1, env._eid, wait)
-            yield wait
-        else:
-            yield env.timeout(total)
+        yield self.env.timeout(total)
         self.stats.transfer_ms += total
         self.stats.cache_hits += 1
 
@@ -711,30 +680,11 @@ class ConventionalDrive:
                 self.cache.invalidate(request.lba, request.size)
 
     def _complete(self, request: IORequest) -> None:
-        env = self.env
-        request.completion_time = env._now
+        request.completion_time = self.env._now
         stats = self.stats
         stats.requests_completed += 1
         if request.is_read:
             stats.reads_completed += 1
-        completion = self._completions.pop(request.request_id)
-        # Event.succeed inlined: the pop above happens exactly once per
-        # request (a double completion would KeyError there first), so
-        # the already-triggered guard cannot trip.  See engine.Event
-        # for the canonical body, including the calendar push.
-        completion._ok = True
-        completion._value = request
-        env._eid += 1
-        calendar = env._calendar
-        if calendar is not None and calendar._cursor > calendar._nbuckets:
-            current = calendar._current
-            insort(current, (-env._now, -1, -env._eid, completion))
-            if len(current) > calendar._spill_limit:
-                calendar._rest += len(current)
-                calendar._overflow.extend(current)
-                del current[:]
-                calendar._reseed()
-        else:
-            env._queue.push(env._now, 1, env._eid, completion)
+        self._completions.pop(request.request_id).succeed(request)
         for callback in self.on_complete:
             callback(request)

@@ -10,7 +10,6 @@ breakdown, and run metadata.
 from __future__ import annotations
 
 import time
-from bisect import insort
 from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional
 
@@ -200,7 +199,6 @@ def run_trace(
         nonlocal submitted, chunks_read, peak_chunk
         timeout = env.timeout
         submit = system.submit
-        pool = env._timeout_pool
         for chunk in chunks:
             # Every request of a chunk is submitted before the next one
             # is read, so counting per chunk is exact once the run ends.
@@ -211,40 +209,7 @@ def run_trace(
             for request in chunk:
                 delay = request.arrival_time - env._now
                 if delay > 0:
-                    if pool:
-                        # Inlined Environment.timeout pool path (the
-                        # ``delay > 0`` guard above subsumes its
-                        # negative-delay check); one inter-arrival wait
-                        # per request makes this the producer's hottest
-                        # line.  See engine.timeout for the canonical
-                        # body.
-                        wait = pool.pop()
-                        wait.delay = delay
-                        wait._value = None
-                        wait._ok = True
-                        wait.defused = False
-                        env._eid += 1
-                        calendar = env._calendar
-                        if calendar is not None and (
-                            calendar._cursor > calendar._nbuckets
-                        ):
-                            current = calendar._current
-                            insort(
-                                current,
-                                (-env._now - delay, -1, -env._eid, wait),
-                            )
-                            if len(current) > calendar._spill_limit:
-                                calendar._rest += len(current)
-                                calendar._overflow.extend(current)
-                                del current[:]
-                                calendar._reseed()
-                        else:
-                            env._queue.push(
-                                env._now + delay, 1, env._eid, wait
-                            )
-                        yield wait
-                    else:
-                        yield timeout(delay)
+                    yield timeout(delay)
                 request.arrival_time = env._now
                 submit(request)
 

@@ -119,7 +119,7 @@ def _validate_event(payload, index: Optional[int]) -> List[str]:
     time_ms = payload.get("time_ms")
     if not isinstance(time_ms, (int, float)) or isinstance(time_ms, bool):
         problems.append(f"{where}: time_ms must be a number")
-    elif not math.isfinite(time_ms) or time_ms < 0.0:
+    elif not _finite(time_ms) or time_ms < 0.0:
         problems.append(
             f"{where}: time_ms must be finite and >= 0, got {time_ms}"
         )
@@ -151,8 +151,18 @@ def _validate_event(payload, index: Optional[int]) -> List[str]:
         "time_ms", "kind", "drive", "arm", "lba", "attempts"
     }
     if unknown:
-        problems.append(f"{where}: unknown fields {sorted(unknown)}")
+        problems.append(
+            f"{where}: unknown fields {sorted(unknown, key=repr)}"
+        )
     return problems
+
+
+def _finite(value) -> bool:
+    """``math.isfinite``, but False for an int beyond float range."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def validate_fault_plan(payload) -> List[str]:
@@ -179,7 +189,7 @@ def validate_fault_plan(payload) -> List[str]:
         problems.append(f"plan: seed must be an int or null, got {seed!r}")
     unknown = set(payload) - {"version", "events", "seed"}
     if unknown:
-        problems.append(f"plan: unknown fields {sorted(unknown)}")
+        problems.append(f"plan: unknown fields {sorted(unknown, key=repr)}")
     return problems
 
 
@@ -359,7 +369,14 @@ def write_fault_plan(plan: FaultPlan, path: str) -> str:
 
 
 def load_fault_plan(path: str) -> FaultPlan:
-    """Load and validate a fault plan from a JSON file."""
+    """Load and validate a fault plan from a JSON file.
+
+    Raises ``OSError`` when the file cannot be read and ``ValueError``
+    for anything wrong with its contents.
+    """
     with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
+        try:
+            payload = json.load(handle)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
     return FaultPlan.from_dict(payload)

@@ -12,7 +12,6 @@ logical request itself to its one drive extent.
 
 from __future__ import annotations
 
-from bisect import insort
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.disk.drive import ConventionalDrive
@@ -250,7 +249,7 @@ class DiskArray:
         completion: Event,
     ) -> None:
         """Complete a one-slice logical request from its physical twin."""
-        if completion._ok is not None:  # ``triggered`` sans property frame
+        if completion.triggered:
             # The logical request was already failed (member loss on a
             # non-redundant layout) while the physical slice was still
             # in flight; the late slice completion is a no-op.
@@ -273,24 +272,7 @@ class DiskArray:
         self._outstanding.pop(request.request_id, None)
         if self.tracer.enabled:
             self._record_logical_span(request, slices=1, phases=1)
-        # Event.succeed inlined (the ``_ok`` guard above already
-        # established the event is untriggered); see engine.Event for
-        # the canonical body, including the calendar push.
-        completion._ok = True
-        completion._value = request
-        env = self.env
-        env._eid += 1
-        calendar = env._calendar
-        if calendar is not None and calendar._cursor > calendar._nbuckets:
-            current = calendar._current
-            insort(current, (-env._now, -1, -env._eid, completion))
-            if len(current) > calendar._spill_limit:
-                calendar._rest += len(current)
-                calendar._overflow.extend(current)
-                del current[:]
-                calendar._reseed()
-        else:
-            env._queue.push(env._now, 1, env._eid, completion)
+        completion.succeed(request)
         for callback in self.on_complete:
             callback(request)
 

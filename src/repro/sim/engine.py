@@ -5,10 +5,9 @@ The engine is deliberately small and deterministic:
 * Simulated time is a float (this package uses milliseconds throughout).
 * Events are totally ordered by ``(time, priority, sequence)``, so two
   events scheduled for the same instant fire in scheduling order.  The
-  schedule itself is a calendar queue (:mod:`repro.sim.calqueue`) that
-  preserves that total order bit-for-bit; ``ENGINE_QUEUE=heap`` selects
-  the pre-PR 10 binary heap and ``ENGINE_QUEUE=differential`` runs both
-  in lockstep with every pop cross-checked.
+  schedule is one binary heap (:mod:`heapq`) of ``(time, priority,
+  sequence, event)`` tuples; sequence numbers are unique, so the event
+  itself is never compared.
 * A :class:`Process` wraps a generator.  The generator yields events;
   when a yielded event triggers, the process is resumed with the event's
   value (or the event's exception is thrown into it).
@@ -38,10 +37,8 @@ order or any observable value:
 
 from __future__ import annotations
 
-from bisect import insort
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional
-
-from repro.sim.calqueue import CalendarQueue, make_queue
 
 __all__ = [
     "AllOf",
@@ -132,22 +129,7 @@ class Event:
         self._value = value
         env = self.env
         env._eid += 1
-        # Inlined calendar push (sorted-drain mode only): one insort in
-        # place of the push() frame.  ``_cursor > _nbuckets`` uniquely
-        # marks sorted mode, where every entry merges into the drain
-        # segment; any other queue state (ring mode, heap escape hatch,
-        # differential oracle) takes the generic method.
-        calendar = env._calendar
-        if calendar is not None and calendar._cursor > calendar._nbuckets:
-            current = calendar._current
-            insort(current, (-env._now, -1, -env._eid, self))
-            if len(current) > calendar._spill_limit:
-                calendar._rest += len(current)
-                calendar._overflow.extend(current)
-                del current[:]
-                calendar._reseed()
-        else:
-            env._queue.push(env._now, NORMAL, env._eid, self)
+        heappush(env._queue, (env._now, NORMAL, env._eid, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -203,18 +185,7 @@ class Timeout(Event):
         self._pooled = False
         self.delay = delay
         env._eid += 1
-        # Inlined calendar push (sorted-drain mode); see Event.succeed.
-        calendar = env._calendar
-        if calendar is not None and calendar._cursor > calendar._nbuckets:
-            current = calendar._current
-            insort(current, (-env._now - delay, -1, -env._eid, self))
-            if len(current) > calendar._spill_limit:
-                calendar._rest += len(current)
-                calendar._overflow.extend(current)
-                del current[:]
-                calendar._reseed()
-        else:
-            env._queue.push(env._now + delay, NORMAL, env._eid, self)
+        heappush(env._queue, (env._now + delay, NORMAL, env._eid, self))
 
 
 class Initialize(Event):
@@ -231,7 +202,7 @@ class Initialize(Event):
         self._waiter = None
         self._stale = False
         env._eid += 1
-        env._queue.push(env._now, URGENT, env._eid, self)
+        heappush(env._queue, (env._now, URGENT, env._eid, self))
 
 
 class Process(Event):
@@ -309,28 +280,13 @@ class Process(Event):
                 self._ok = True
                 self._value = exc.value
                 env._eid += 1
-                # Inlined calendar push (sorted-drain mode); see
-                # Event.succeed.
-                calendar = env._calendar
-                if (
-                    calendar is not None
-                    and calendar._cursor > calendar._nbuckets
-                ):
-                    current = calendar._current
-                    insort(current, (-env._now, -1, -env._eid, self))
-                    if len(current) > calendar._spill_limit:
-                        calendar._rest += len(current)
-                        calendar._overflow.extend(current)
-                        del current[:]
-                        calendar._reseed()
-                else:
-                    env._queue.push(env._now, NORMAL, env._eid, self)
+                heappush(env._queue, (env._now, NORMAL, env._eid, self))
                 break
             except BaseException as exc:
                 self._ok = False
                 self._value = exc
                 env._eid += 1
-                env._queue.push(env._now, NORMAL, env._eid, self)
+                heappush(env._queue, (env._now, NORMAL, env._eid, self))
                 break
             if not isinstance(next_event, Event):
                 exc = SimulationError(
@@ -468,25 +424,11 @@ class Environment:
     null tracer unless a traced session is active.
     """
 
-    def __init__(
-        self,
-        initial_time: float = 0.0,
-        tracer: Any = None,
-        queue: Optional[str] = None,
-    ):
+    def __init__(self, initial_time: float = 0.0, tracer: Any = None):
         self._now = float(initial_time)
-        #: The pending-event schedule.  ``queue`` selects the scheduler
-        #: kind (``"calendar"``/``"heap"``/``"differential"``); ``None``
-        #: defers to the ``ENGINE_QUEUE`` environment variable, which
-        #: defaults to the calendar queue.
-        self._queue = make_queue(queue)
-        #: The queue again when it is a plain CalendarQueue, else None.
-        #: Hot paths branch on this to inline sorted-mode pushes and
-        #: pops; anything that replaces ``_queue`` (the shard workers'
-        #: schedule narrowing) must refresh this alias too.
-        self._calendar = (
-            self._queue if type(self._queue) is CalendarQueue else None
-        )
+        #: The pending-event schedule: a heap of ``(time, priority, eid,
+        #: event)`` tuples.
+        self._queue: List[tuple] = []
         self._eid = 0
         self._active_process: Optional[Process] = None
         #: Free list of fired timeouts available for reuse.
@@ -541,24 +483,9 @@ class Environment:
             timeout._ok = True
             timeout.defused = False
             self._eid += 1
-            # Inlined calendar push (sorted-drain mode); see
-            # Event.succeed.  This is the hottest push site: every
-            # steady-state mechanical delay reschedules through here.
-            calendar = self._calendar
-            if calendar is not None and calendar._cursor > calendar._nbuckets:
-                current = calendar._current
-                insort(
-                    current, (-self._now - delay, -1, -self._eid, timeout)
-                )
-                if len(current) > calendar._spill_limit:
-                    calendar._rest += len(current)
-                    calendar._overflow.extend(current)
-                    del current[:]
-                    calendar._reseed()
-            else:
-                self._queue.push(
-                    self._now + delay, NORMAL, self._eid, timeout
-                )
+            heappush(
+                self._queue, (self._now + delay, NORMAL, self._eid, timeout)
+            )
             return timeout
         timeout = Timeout(self, delay, value)
         timeout._pooled = True
@@ -576,11 +503,12 @@ class Environment:
     # -- scheduling -------------------------------------------------------
     def _schedule(self, event: Event, priority: int, delay: float) -> None:
         self._eid += 1
-        self._queue.push(self._now + delay, priority, self._eid, event)
+        heappush(self._queue, (self._now + delay, priority, self._eid, event))
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        return self._queue.peek_time()
+        queue = self._queue
+        return queue[0][0] if queue else float("inf")
 
     def schedule_at(
         self, event: Event, time: float, priority: int = NORMAL
@@ -604,12 +532,12 @@ class Environment:
                 "outcome before scheduling"
             )
         self._eid += 1
-        self._queue.push(time, priority, self._eid, event)
+        heappush(self._queue, (time, priority, self._eid, event))
 
     def step(self) -> None:
         """Process the next scheduled event."""
         try:
-            self._now, _, _, event = self._queue.pop()
+            self._now, _, _, event = heappop(self._queue)
         except IndexError:
             raise EmptySchedule() from None
         if event._stale:
@@ -650,39 +578,23 @@ class Environment:
                 stop._ok = True
                 # Urgent so the clock stops before same-time events fire.
                 self._eid += 1
-                self._queue.push(at, URGENT, self._eid, stop)
+                heappush(self._queue, (at, URGENT, self._eid, stop))
             stop.callbacks.append(_StopSignal.throw)
         # Inlined step() loop: one event dispatch per iteration with the
-        # queue pop and the timeout free list bound to locals.  This
-        # loop is the hottest frame of every simulation, so it avoids
-        # the per-event attribute lookups of the public step() API; the
-        # queue signals exhaustion by raising IndexError from pop(),
-        # which costs nothing on the non-raising iterations.  On the
-        # default calendar queue the pop itself is inlined too: the
-        # drain segment is a plain list with the least entry last, so
-        # one ``list.pop()`` replaces the method call, the un-negation
-        # of the unused key fields, and the result-tuple round trip.
+        # queue and the timeout free list bound to locals.  This loop is
+        # the hottest frame of every simulation, so it avoids the
+        # per-event attribute lookups of the public step() API; heappop
+        # signals exhaustion by raising IndexError, which costs nothing
+        # on the non-raising iterations.
         queue = self._queue
-        calendar = self._calendar
-        pop = queue.pop
         pool_append = self._timeout_pool.append
         eid_at_entry = self._eid
         try:
             while True:
-                if calendar is not None:
-                    current = calendar._current
-                    if not current:
-                        if not calendar._ensure():
-                            break
-                        current = calendar._current
-                    entry = current.pop()
-                    self._now = -entry[0]
-                    event = entry[3]
-                else:
-                    try:
-                        self._now, _, _, event = pop()
-                    except IndexError:
-                        break
+                try:
+                    self._now, _, _, event = heappop(queue)
+                except IndexError:
+                    break
                 waiter = event._waiter
                 if waiter is not None:
                     event._waiter = None
@@ -753,16 +665,12 @@ class Environment:
         the run lifecycle.
         """
         # Inlined step() loop, as in run(): see the comments there.  The
-        # window barrier is the queue's pop_bounded, which returns None
-        # once the head passes ``bound`` (or nothing remains).
-        pop_bounded = self._queue.pop_bounded
+        # window barrier is the head's time passing ``bound``.
+        queue = self._queue
         pool_append = self._timeout_pool.append
         fired = 0
-        while True:
-            entry = pop_bounded(bound)
-            if entry is None:
-                break
-            self._now, _, _, event = entry
+        while queue and queue[0][0] <= bound:
+            self._now, _, _, event = heappop(queue)
             fired += 1
             waiter = event._waiter
             if waiter is not None:

@@ -49,10 +49,10 @@ from __future__ import annotations
 import multiprocessing
 import time
 import traceback
+from heapq import heapify
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.metrics import metrics_for
-from repro.sim.calqueue import CalendarQueue
 from repro.sim.engine import NORMAL, URGENT, Environment, Event
 
 __all__ = [
@@ -207,21 +207,15 @@ def _shard_worker_main(
         # At fork time nothing has run: the schedule holds only the
         # Initialize events of processes created before the run (drive
         # serve loops, the trace producer, fault replay).  Keep our
-        # serve loops; the controller runs everything else.  The
-        # narrowed schedule is rebuilt as the same queue kind the
-        # controller runs — sharded and serial share one scheduler
-        # implementation (repro.sim.calqueue).
+        # serve loops; the controller runs everything else.
         servers = {drive._server for drive in drives}
-        kept = [
+        env._queue[:] = [
             entry
-            for entry in env._queue.entries()
+            for entry in env._queue
             if entry[3].callbacks
             and getattr(entry[3].callbacks[0], "__self__", None) in servers
         ]
-        env._queue = type(env._queue)(kept)
-        env._calendar = (
-            env._queue if type(env._queue) is CalendarQueue else None
-        )
+        heapify(env._queue)
         env._stale_events = 0
 
         # -- per-process observability: fresh span/telemetry state, and
@@ -306,7 +300,7 @@ def _shard_worker_main(
                 env.run_bounded(bound)
                 return
             while queue:
-                head_time = queue.peek_time()
+                head_time = queue[0][0]
                 if head_time > bound:
                     break
                 if held:
@@ -315,7 +309,7 @@ def _shard_worker_main(
                         # Only break for the held completion itself:
                         # same-time events scheduled before it still
                         # fire, exactly as serially.
-                        waiter = queue.peek_event()._waiter
+                        waiter = queue[0][3]._waiter
                         drive = server_to_drive.get(waiter)
                         if drive is not None:
                             hold = held.get(drive)
@@ -597,7 +591,7 @@ class ShardedEngine:
         env = self.env
         queue = env._queue
         seq_before = self._seq
-        while queue and queue.peek_time() <= limit:
+        while queue and queue[0][0] <= limit:
             env.step()
             if self._seq != seq_before:
                 seq_before = self._seq

@@ -31,12 +31,6 @@ The JSON schema (``repro-bench/6``)::
         "processes": 50, "timeouts": 2000, "events": ...,
         "wall_s": ..., "events_per_s": ...
       },
-      "scheduler": {               # calendar vs heap head-to-head
-        "processes": 50, "timeouts": 2000, "events": ...,
-        "calendar": {"wall_s": ..., "events_per_s": ...},
-        "heap": {"wall_s": ..., "events_per_s": ...},
-        "calendar_speedup_vs_heap": ...   # heap wall / calendar wall
-      },
       "results": [
         {"workers": 1, "wall_s": ..., "events_per_s": ...,
          "speedup_vs_serial": 1.0},
@@ -82,14 +76,11 @@ of metering and checking the metered figures are bit-identical.  The
 cell is informational, never a gate: ``--check`` ignores it, because
 the overhead of a few counter increments is far below shared-runner
 noise.  Migrated v1-v4 snapshots carry a ``null`` ``metrics_overhead``.
-v6 added the ``scheduler`` cell: the engine-kernel microbenchmark run
-once under each pending-event scheduler kind (the default calendar
-queue and the ``ENGINE_QUEUE=heap`` binary-heap fallback), recording
-both throughputs and the calendar-over-heap speedup.  Both runs must
-schedule the identical event count — the scheduler changes wall-clock,
-never the event stream.  The cell is informational (non-gating), since
-the ratio is host-dependent; migrated v1-v5 snapshots carry a ``null``
-``scheduler``.
+v6 added a ``scheduler`` cell that timed the kernel under a calendar
+queue and a binary heap.  The engine now has only the heap, so the
+cell is no longer written or required and v6 has the v5 keys; v6
+snapshots that still carry a ``scheduler`` key load unchanged, and
+nothing reads it.
 
 Worker counts above ``cpu_count`` are never timed: on an oversubscribed
 host a "parallel" pass measures scheduler contention, not speedup (a
@@ -133,7 +124,6 @@ __all__ = [
     "run_bench",
     "run_kernel_bench",
     "run_metrics_overhead_bench",
-    "run_scheduler_bench",
     "run_shard_bench",
     "validate_bench",
     "write_bench",
@@ -223,19 +213,15 @@ KERNEL_PROCESSES = 50
 KERNEL_TIMEOUTS = 2000
 
 
-def _kernel_pass(
-    processes: int, timeouts: int, queue: Optional[str] = None
-) -> int:
+def _kernel_pass(processes: int, timeouts: int) -> int:
     """One pure-engine pass; returns the events scheduled.
 
     Each process cycles through ``timeouts`` awaited timeouts at a
     process-specific delay, so every firing takes the single-waiter
     direct-dispatch path and recycles its Timeout through the pool —
     the simulation-kernel hot loop with nothing else attached.
-    ``queue`` pins the pending-event scheduler kind (``"calendar"`` /
-    ``"heap"``); ``None`` uses the process default.
     """
-    env = Environment(queue=queue)
+    env = Environment()
 
     def cycle(delay: float):
         timeout = env.timeout
@@ -252,14 +238,8 @@ def run_kernel_bench(
     processes: int = KERNEL_PROCESSES,
     timeouts: int = KERNEL_TIMEOUTS,
     repeats: int = 3,
-    queue: Optional[str] = None,
 ) -> Dict:
-    """Time the engine-only microbenchmark (best of ``repeats``).
-
-    ``queue`` pins the scheduler kind for the timed environments; the
-    default ``None`` keeps the process-wide default (calendar unless
-    ``ENGINE_QUEUE`` overrides it).
-    """
+    """Time the engine-only microbenchmark (best of ``repeats``)."""
     if processes < 1 or timeouts < 1:
         raise ValueError(
             f"processes and timeouts must be >= 1, got "
@@ -271,7 +251,7 @@ def run_kernel_bench(
     events = 0
     for _ in range(repeats):
         start = time.perf_counter()
-        events = _kernel_pass(processes, timeouts, queue)
+        events = _kernel_pass(processes, timeouts)
         wall = min(wall, time.perf_counter() - start)
     return {
         "processes": processes,
@@ -279,47 +259,6 @@ def run_kernel_bench(
         "events": events,
         "wall_s": round(wall, 6),
         "events_per_s": round(events / wall, 1),
-    }
-
-
-def run_scheduler_bench(
-    processes: int = KERNEL_PROCESSES,
-    timeouts: int = KERNEL_TIMEOUTS,
-    repeats: int = 3,
-) -> Dict:
-    """Time the kernel microbenchmark under both scheduler kinds.
-
-    Runs the identical engine-only workload once under the calendar
-    queue and once under the binary-heap fallback
-    (``ENGINE_QUEUE=heap``), so the snapshot records the actual
-    scheduler speedup on the recording host rather than leaving it to
-    be inferred from two differently-shaped cells.  The two runs must
-    schedule the same event count — a scheduler may only change
-    wall-clock, never the event stream — and the cell is informational
-    (non-gating) because the ratio is host-dependent.
-    """
-    calendar = run_kernel_bench(processes, timeouts, repeats, "calendar")
-    heap = run_kernel_bench(processes, timeouts, repeats, "heap")
-    if calendar["events"] != heap["events"]:
-        raise RuntimeError(
-            "scheduler bench event counts diverged: calendar="
-            f"{calendar['events']} heap={heap['events']}"
-        )
-    return {
-        "processes": processes,
-        "timeouts": timeouts,
-        "events": calendar["events"],
-        "calendar": {
-            "wall_s": calendar["wall_s"],
-            "events_per_s": calendar["events_per_s"],
-        },
-        "heap": {
-            "wall_s": heap["wall_s"],
-            "events_per_s": heap["events_per_s"],
-        },
-        "calendar_speedup_vs_heap": round(
-            heap["wall_s"] / calendar["wall_s"], 3
-        ),
     }
 
 
@@ -633,7 +572,6 @@ def run_bench(
         "figures_identical": figures_identical,
         "workload_results": workload_results,
         "kernel": run_kernel_bench(repeats=repeats),
-        "scheduler": run_scheduler_bench(repeats=repeats),
         "results": results,
         # The scaling cell tracks the caller's request budget (capped
         # at its reference size) so a smoke-sized bench stays smoke
@@ -712,15 +650,6 @@ def format_bench(result: Dict) -> str:
             f"{kernel['wall_s']:.3f}s = {kernel['events_per_s']:.0f} "
             f"events/s ({kernel['processes']} processes x "
             f"{kernel['timeouts']} timeouts)"
-        )
-    scheduler = result.get("scheduler")
-    if scheduler:
-        lines.append(
-            "scheduler microbench (non-gating): calendar "
-            f"{scheduler['calendar']['events_per_s']:.0f} events/s vs "
-            f"heap {scheduler['heap']['events_per_s']:.0f} = "
-            f"{scheduler['calendar_speedup_vs_heap']:.2f}x "
-            f"({scheduler['events']} events per pass)"
         )
     shard_scaling = result.get("shard_scaling")
     if shard_scaling:
@@ -825,8 +754,6 @@ def validate_bench(snapshot: Dict, source: str = "snapshot") -> None:
         and "metrics_overhead" not in snapshot
     ):
         missing.append("metrics_overhead")
-    if schema == BENCH_SCHEMA and "scheduler" not in snapshot:
-        missing.append("scheduler")
     if missing:
         raise ValueError(f"{source}: missing keys {missing}")
     if not isinstance(snapshot["results"], list) or not snapshot["results"]:
@@ -863,9 +790,8 @@ def migrate_bench(snapshot: Dict) -> Dict:
     * **v4 → v5** — the metrics-overhead cell.  Older runs never
       timed the live-metrics registry, so migrated snapshots carry a
       ``None`` ``metrics_overhead``.
-    * **v5 → v6** — the scheduler head-to-head cell.  Older runs only
-      timed the kernel under one scheduler kind, so migrated snapshots
-      carry a ``None`` ``scheduler``.
+    * **v5 → v6** — a schema stamp only: the ``scheduler`` cell v6
+      added is no longer written, so v6 has the v5 keys.
 
     The result is stamped with the schema it now satisfies plus the
     schema it ``migrated_from``.  Current-schema snapshots are
@@ -907,7 +833,6 @@ def migrate_bench(snapshot: Dict) -> Dict:
         migrated["metrics_overhead"] = None
         migrated["schema"] = BENCH_SCHEMA_V5
     if migrated["schema"] == BENCH_SCHEMA_V5:
-        migrated["scheduler"] = None
         migrated["schema"] = BENCH_SCHEMA
     migrated["migrated_from"] = original
     return migrated

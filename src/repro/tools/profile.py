@@ -17,11 +17,11 @@ single-kernel microbenchmark, bit-for-bit.
 
 ``--compare BASELINE.json`` switches to delta mode: instead of
 profiling, it re-times every comparable cell of a committed bench
-snapshot — each per-workload serial pass, the engine-kernel
-microbenchmark and (for v6 baselines) both scheduler kinds — and
-reports current events/second against the baseline's, cell by cell.
-That answers "*where* did the throughput move?" after an engine
-change, which the bench's single aggregate number cannot.  Older
+snapshot — each per-workload serial pass and the engine-kernel
+microbenchmark — and reports current events/second against the
+baseline's, cell by cell.  That answers "*where* did the throughput
+move?" after an engine change, which the bench's single aggregate
+number cannot.  Older
 baselines are migrated on load; cells the baseline never recorded are
 skipped.
 """
@@ -196,19 +196,13 @@ def run_compare(baseline_path: str, repeats: int = 1) -> Dict:
 
     Loads (and, for older schemas, migrates) the baseline snapshot,
     then re-runs every cell it recorded a throughput for — one serial
-    pass per workload at the baseline's request count, the kernel
-    microbenchmark at the baseline's shape, and both scheduler kinds
-    when the baseline carries the v6 cell.  Each fresh wall-clock is
+    pass per workload at the baseline's request count and the kernel
+    microbenchmark at the baseline's shape.  Each fresh wall-clock is
     the best of ``repeats`` passes.  Deltas are informational: the
     caller decides what counts as a regression (host noise on shared
     machines easily reaches several percent).
     """
-    from repro.tools.bench import (
-        _bench_job,
-        load_bench,
-        run_kernel_bench,
-        run_scheduler_bench,
-    )
+    from repro.tools.bench import _bench_job, load_bench, run_kernel_bench
 
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
@@ -248,18 +242,6 @@ def run_compare(baseline_path: str, repeats: int = 1) -> Dict:
             kernel["processes"], kernel["timeouts"], repeats
         )
         add_cell("kernel", kernel["events_per_s"], fresh["events_per_s"])
-
-    scheduler = baseline.get("scheduler")
-    if scheduler:
-        fresh = run_scheduler_bench(
-            scheduler["processes"], scheduler["timeouts"], repeats
-        )
-        for kind in ("calendar", "heap"):
-            add_cell(
-                f"scheduler:{kind}",
-                scheduler[kind]["events_per_s"],
-                fresh[kind]["events_per_s"],
-            )
 
     return {
         "baseline_path": baseline_path,

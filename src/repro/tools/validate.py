@@ -40,24 +40,32 @@ __all__ = [
 ]
 
 
+def _read_json(path: str):
+    """``(payload, problems)`` for a JSON file; problems is non-empty
+    (and payload ``None``) when the file cannot be read or parsed."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle), []
+    except OSError as error:
+        return None, [f"{path}: {error}"]
+    except (ValueError, RecursionError) as error:
+        # ValueError covers malformed JSON, bytes that are not UTF-8
+        # and integers past the interpreter's digit limit.
+        return None, [f"{path}: invalid JSON: {error}"]
+
+
 def validate_fault_plan_file(path: str) -> List[str]:
     """Schema-check a fault-plan JSON file; returns problem strings.
 
     An empty list means the file parses and every event passes
-    :func:`repro.faults.plan.validate_fault_plan`.  I/O and JSON
-    errors are reported as problems rather than raised, so callers
-    can present every failure mode uniformly.
+    :func:`repro.faults.plan.validate_fault_plan`.  I/O, encoding and
+    JSON errors are reported as problems rather than raised, so
+    callers can present every failure mode uniformly.
     """
     from repro.faults.plan import validate_fault_plan
 
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except OSError as error:
-        return [f"{path}: {error}"]
-    except json.JSONDecodeError as error:
-        return [f"{path}: invalid JSON: {error}"]
-    return validate_fault_plan(payload)
+    payload, problems = _read_json(path)
+    return problems or validate_fault_plan(payload)
 
 
 def validate_chaos_plan_file(path: str) -> List[str]:
@@ -70,14 +78,8 @@ def validate_chaos_plan_file(path: str) -> List[str]:
     """
     from repro.chaos.plan import validate_chaos_plan
 
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except OSError as error:
-        return [f"{path}: {error}"]
-    except json.JSONDecodeError as error:
-        return [f"{path}: invalid JSON: {error}"]
-    return validate_chaos_plan(payload)
+    payload, problems = _read_json(path)
+    return problems or validate_chaos_plan(payload)
 
 
 def mg1_mean_response_ms(

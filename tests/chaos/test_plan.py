@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.chaos.failpoints import FAILPOINT_SITES
 from repro.chaos.plan import (
@@ -156,3 +157,111 @@ class TestRoundTrip:
         bad.write_text("not json")
         assert validate_chaos_plan_file(bad)
         assert validate_chaos_plan_file(tmp_path / "missing.json")
+
+
+#: A JSON integer with 401 digits: beyond float range, unlike ``1e400``,
+#: which parses to ``inf``.
+HUGE = 10 ** 400
+
+_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.integers(min_value=2 ** 1024, max_value=10 ** 420)
+    | st.text(max_size=6) | st.sampled_from(CHAOS_KINDS)
+    | st.sampled_from(FAILPOINT_SITES)
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4) | st.integers(), inner,
+                      max_size=3),
+    max_leaves=8,
+)
+_EVENTS = st.dictionaries(
+    st.sampled_from([
+        "site", "kind", "occurrence", "worker", "truncate_at", "skew_s",
+        "hang_s",
+    ])
+    | st.text(max_size=4) | st.integers(),
+    _VALUES,
+    max_size=8,
+)
+_PLANS = st.dictionaries(
+    st.sampled_from(["version", "events", "seed"])
+    | st.text(max_size=4) | st.integers(),
+    st.just(1) | _VALUES | st.lists(_EVENTS, max_size=3),
+    max_size=4,
+)
+
+
+class TestHostileInput:
+    @pytest.mark.parametrize(
+        "event",
+        [
+            {"site": "queue.clock", "kind": "clock_skew", "skew_s": HUGE},
+            {"site": "service.job.before_run", "kind": "hang",
+             "hang_s": HUGE},
+        ],
+        ids=["skew_s", "hang_s"],
+    )
+    def test_durations_beyond_float_range_are_problems(self, event):
+        payload = {"version": 1, "events": [event]}
+        assert validate_chaos_plan(payload)
+        with pytest.raises(ValueError, match="invalid chaos plan"):
+            ChaosPlan.from_dict(payload)
+
+    def test_unhashable_kind_is_a_problem(self):
+        payload = {"version": 1, "events": [
+            {"site": "queue.clock", "kind": ["hang"]},
+        ]}
+        assert any("kind" in p for p in validate_chaos_plan(payload))
+
+    @pytest.mark.parametrize("level", ["plan", "event"])
+    def test_unknown_keys_of_mixed_type_are_problems(self, level):
+        payload = ChaosPlan.generate(0).to_dict()
+        target = payload if level == "plan" else payload["events"][0]
+        target.update({3: 1, "x": 2})
+        problems = validate_chaos_plan(payload)
+        assert any("unknown fields ['x', 3]" in p for p in problems)
+        with pytest.raises(ValueError, match="unknown fields"):
+            ChaosPlan.from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"\xff\xfe{}",
+            ('{"version": 1, "events": [{"site": "queue.clock", '
+             '"kind": "clock_skew", "skew_s": %d}]}' % HUGE).encode(),
+            b"[" * 100_000,
+        ],
+        ids=["non-utf8", "401-digit", "deep-nesting"],
+    )
+    def test_bad_files_are_problems_not_tracebacks(
+        self, tmp_path, capsys, content
+    ):
+        from repro.cli import main
+        from repro.tools.validate import validate_chaos_plan_file
+
+        path = tmp_path / "plan.json"
+        path.write_bytes(content)
+        assert validate_chaos_plan_file(str(path))
+        with pytest.raises(ValueError):
+            load_chaos_plan(str(path))
+        with pytest.raises(SystemExit) as exit_info:
+            main(["chaos", "--validate", str(path)])
+        assert exit_info.value.code == 1
+        assert "INVALID" in capsys.readouterr().out
+
+    @settings(max_examples=300, deadline=None)
+    @given(payload=_PLANS)
+    def test_validate_returns_problems_and_from_dict_raises_value_error(
+        self, payload
+    ):
+        problems = validate_chaos_plan(payload)
+        assert isinstance(problems, list)
+        try:
+            plan = ChaosPlan.from_dict(payload)
+        except ValueError:
+            assert problems
+            return
+        assert problems == []
+        assert ChaosPlan.from_dict(plan.to_dict()) == plan

@@ -1,6 +1,9 @@
 """Tests for fault-plan construction, generation, and the schema."""
 
+import json
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.faults.plan import (
     FAULT_KINDS,
@@ -207,3 +210,103 @@ class TestFileRoundTrip:
         bad.write_text("{not json")
         assert validate_fault_plan_file(str(bad)) != []
         assert validate_fault_plan_file(str(tmp_path / "nope.json")) != []
+
+
+#: A JSON integer with 401 digits: beyond float range, unlike ``1e400``,
+#: which parses to ``inf``.
+HUGE = 10 ** 400
+
+_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.integers(min_value=2 ** 1024, max_value=10 ** 420)
+    | st.text(max_size=6) | st.sampled_from(FAULT_KINDS)
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4) | st.integers(), inner,
+                      max_size=3),
+    max_leaves=8,
+)
+_EVENTS = st.dictionaries(
+    st.sampled_from(["time_ms", "kind", "drive", "arm", "lba", "attempts"])
+    | st.text(max_size=4) | st.integers(),
+    _VALUES,
+    max_size=7,
+)
+_PLANS = st.dictionaries(
+    st.sampled_from(["version", "events", "seed"])
+    | st.text(max_size=4) | st.integers(),
+    st.just(1) | _VALUES | st.lists(_EVENTS, max_size=3),
+    max_size=4,
+)
+
+
+class TestHostileInput:
+    def event(self, **overrides):
+        return dict({"time_ms": 1.0, "kind": "transient"}, **overrides)
+
+    def test_integer_time_beyond_float_range_is_a_problem(self):
+        payload = {"version": 1, "events": [self.event(time_ms=HUGE)]}
+        problems = validate_fault_plan(payload)
+        assert any("time_ms must be finite" in p for p in problems)
+        with pytest.raises(ValueError, match="time_ms"):
+            FaultPlan.from_dict(payload)
+
+    def test_float_overflow_parses_to_inf_and_is_a_problem(self):
+        payload = json.loads(
+            '{"version": 1, "events": [{"time_ms": 1e400, '
+            '"kind": "transient"}]}'
+        )
+        assert validate_fault_plan(payload)
+
+    @pytest.mark.parametrize("level", ["plan", "event"])
+    def test_unknown_keys_of_mixed_type_are_problems(self, level):
+        payload = {"version": 1, "events": [self.event()]}
+        target = payload if level == "plan" else payload["events"][0]
+        target.update({3: 1, "x": 2})
+        problems = validate_fault_plan(payload)
+        assert any("unknown fields ['x', 3]" in p for p in problems)
+        with pytest.raises(ValueError, match="unknown fields"):
+            FaultPlan.from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"\xff\xfe{}",
+            ('{"version": 1, "events": [{"time_ms": %d, '
+             '"kind": "transient"}]}' % HUGE).encode(),
+            b"[" * 100_000,
+        ],
+        ids=["non-utf8", "401-digit", "deep-nesting"],
+    )
+    def test_bad_files_are_problems_not_tracebacks(
+        self, tmp_path, capsys, content
+    ):
+        from repro.cli import main
+        from repro.tools.validate import validate_fault_plan_file
+
+        path = tmp_path / "plan.json"
+        path.write_bytes(content)
+        assert validate_fault_plan_file(str(path))
+        with pytest.raises(ValueError):
+            load_fault_plan(str(path))
+        with pytest.raises(SystemExit) as exit_info:
+            main(["faults", "--validate", str(path)])
+        assert exit_info.value.code == 1
+        assert "INVALID" in capsys.readouterr().out
+
+    @settings(max_examples=300, deadline=None)
+    @given(payload=_PLANS)
+    def test_validate_returns_problems_and_from_dict_raises_value_error(
+        self, payload
+    ):
+        problems = validate_fault_plan(payload)
+        assert isinstance(problems, list)
+        try:
+            plan = FaultPlan.from_dict(payload)
+        except ValueError:
+            assert problems
+            return
+        assert problems == []
+        assert FaultPlan.from_dict(plan.to_dict()) == plan

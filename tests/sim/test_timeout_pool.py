@@ -3,13 +3,16 @@
 The engine recycles fired timeouts through a pool and resumes a sole
 waiting process directly, skipping callback-list traffic.  These are
 pure optimisations: the tests here pin down the cases where they must
-be invisible — determinism across identically seeded runs, interrupts
-that orphan a pooled timeout mid-flight, and pickling an environment
-whose pool and stale-entry accounting are non-empty (the sweep
-executor ships jobs across processes).
+be invisible — determinism across identically seeded runs, whole-run
+event streams pinned by digest, interrupts that orphan a pooled
+timeout mid-flight, and pickling an environment whose pool and
+stale-entry accounting are non-empty (the sweep executor ships jobs
+across processes).
 """
 
+import hashlib
 import pickle
+import random
 
 import pytest
 
@@ -170,6 +173,98 @@ class TestPoolDeterminism:
         second = _bench_job("websearch", 300)
         assert first["events"] == second["events"]
         assert _figures_digest([first]) == _figures_digest([second])
+
+
+def chaotic_run(seed, processes=20, cycles=30):
+    """One engine run full of schedule/cancel/revive traffic.
+
+    Each process awaits pooled timeouts (revive: fired timeouts are
+    recycled through the pool); sibling processes randomly interrupt
+    each other mid-wait (cancel: the interrupted wait's schedule entry
+    goes stale and is lazily dropped).  Returns the full resumption
+    record — order, simulated times and per-process interrupt counts —
+    with the event count and the final clock.
+    """
+    rng = random.Random(seed)
+    env = Environment()
+    log = []
+    workers = []
+
+    def worker(me):
+        interrupted = 0
+        for cycle in range(cycles):
+            delay = 0.25 + rng.random() * rng.choice([1.0, 10.0, 200.0])
+            try:
+                yield env.timeout(delay)
+            except Interrupt:
+                interrupted += 1
+            log.append((me, cycle, env.now, interrupted))
+            if workers and rng.random() < 0.15:
+                victim = workers[rng.randrange(len(workers))]
+                if victim.is_alive and victim is not env.active_process:
+                    victim.interrupt(cause=me)
+
+    for index in range(processes):
+        workers.append(env.process(worker(index)))
+    env.run()
+    return log, env.total_events, env.now
+
+
+def ticker_run():
+    """Eight processes whose pooled timeouts collide at every tick."""
+    env = Environment()
+    order = []
+
+    def ticker(name, delay):
+        for _ in range(50):
+            yield env.timeout(delay)
+            order.append((name, env.now))
+
+    for name in range(8):
+        env.process(ticker(name, 1.0))
+    env.run()
+    return order, env.total_events, env.now
+
+
+def digest(run):
+    return hashlib.sha256(repr(run).encode()).hexdigest()
+
+
+CHAOTIC_DIGESTS = {
+    0: "c84837b626de71aed499c4daeb331d5dd95f91a9ca5a343ba02a43e53cbb1df6",
+    1: "daae01ada896491121bc25764c343424cb7908fb1dd2e554b848f3062f97f23d",
+    2: "2062068ce4c40c0e415e1c5d2905ec2cbe8f89053eeb42ad9a1f66e10f26dd18",
+    3: "b1bc8de0072ebd571755918427f44ea56434ec390044e91e3f5683d052d159f4",
+    4: "fa0260735c3c891d6f3a866b3df4a6c283c9a92c156fadd194964dbab191da72",
+    5: "56dddad16ded6119bb9abe43d7eb49925acb3cf36ed36e729f4b770ac84d50b2",
+}
+
+
+class TestPinnedEventStreams:
+    """Whole-run digests of :func:`chaotic_run` and :func:`ticker_run`.
+
+    The values were recorded when the engine could schedule on either
+    a calendar queue or a binary heap, and both produced them.  Any
+    change to the schedule's ``(time, priority, eid)`` order, the
+    timeout pool or lazy deletion moves a digest.
+    """
+
+    @pytest.mark.parametrize("seed", sorted(CHAOTIC_DIGESTS))
+    def test_cancel_revive_run_digest(self, seed):
+        run = chaotic_run(seed)
+        if seed == 0:
+            assert run[1:] == (720, 1735.5558999505765)
+        assert digest(run) == CHAOTIC_DIGESTS[seed]
+
+    def test_equal_time_tickers_digest(self):
+        # Serial awaited timeouts recycle through the pool; the pooled
+        # fast path must not perturb inter-process order at shared
+        # firing times.
+        run = ticker_run()
+        assert run[0][:8] == [(name, 1.0) for name in range(8)]
+        assert digest(run) == (
+            "e4bd4d02dfb7d6dbd7b5f5037eac58212d659c247bc76728dc10392710c277dc"
+        )
 
 
 class TestPoolPickle:

@@ -34,7 +34,6 @@ REQUIRED_KEYS = {
     "results",
     "shard_scaling",
     "metrics_overhead",
-    "scheduler",
 }
 
 RESULT_KEYS = {"workers", "wall_s", "events_per_s", "speedup_vs_serial"}
@@ -115,17 +114,6 @@ class TestBenchSmoke:
         assert kernel["events"] == expected
         assert kernel["wall_s"] > 0
 
-    def test_scheduler_cell_shape(self, smoke_result):
-        cell = smoke_result["scheduler"]
-        # Same deterministic event count as the kernel cell, and both
-        # scheduler kinds must have scheduled exactly that many — a
-        # scheduler changes wall-clock, never the event stream.
-        assert cell["events"] == smoke_result["kernel"]["events"]
-        for kind in ("calendar", "heap"):
-            assert cell[kind]["wall_s"] > 0
-            assert cell[kind]["events_per_s"] > 0
-        assert cell["calendar_speedup_vs_heap"] > 0
-
     def test_shard_scaling_shape(self, smoke_result):
         section = smoke_result["shard_scaling"]
         assert section["disks"] == 16
@@ -181,7 +169,6 @@ class TestBenchSmoke:
         assert "sharded figures identical to serial: True" in text
         assert "metrics overhead" in text
         assert "metered figures identical: True" in text
-        assert "scheduler microbench" in text
 
     def test_oversubscribed_workers_not_timed(self):
         cpu = os.cpu_count() or 1

@@ -131,17 +131,10 @@ class TestRunCompare:
         directory = tmp_path_factory.mktemp("compare")
         return write_bench(result, str(directory / "base.json"))
 
-    def test_cells_cover_workloads_kernel_and_scheduler(
-        self, baseline_path
-    ):
+    def test_cells_cover_workloads_and_kernel(self, baseline_path):
         result = run_compare(baseline_path)
         names = [cell["cell"] for cell in result["cells"]]
-        assert names == [
-            "workload:websearch",
-            "kernel",
-            "scheduler:calendar",
-            "scheduler:heap",
-        ]
+        assert names == ["workload:websearch", "kernel"]
         for cell in result["cells"]:
             assert cell["baseline_events_per_s"] > 0
             assert cell["current_events_per_s"] > 0
@@ -155,7 +148,7 @@ class TestRunCompare:
 
     def test_migrated_baseline_skips_unrecorded_cells(self, tmp_path):
         from repro.tools.bench import (
-            BENCH_SCHEMA_V5,
+            BENCH_SCHEMA_V2,
             load_bench,
             run_bench,
             write_bench,
@@ -164,22 +157,22 @@ class TestRunCompare:
         snapshot = run_bench(
             requests=200, workers=1, repeats=1, workloads=("websearch",)
         )
-        # Demote the fresh snapshot to v5: no scheduler cell recorded.
-        snapshot["schema"] = BENCH_SCHEMA_V5
-        del snapshot["scheduler"]
-        path = write_bench(snapshot, str(tmp_path / "v5.json"))
-        assert load_bench(path)["scheduler"] is None
+        # Demote the fresh snapshot to v2, which predates the
+        # per-workload and kernel cells: neither is re-timed.
+        snapshot["schema"] = BENCH_SCHEMA_V2
+        del snapshot["workload_results"], snapshot["kernel"]
+        path = write_bench(snapshot, str(tmp_path / "v2.json"))
+        assert load_bench(path)["kernel"] is None
         result = run_compare(path)
-        names = [cell["cell"] for cell in result["cells"]]
-        assert names == ["workload:websearch", "kernel"]
-        assert result["baseline_schema"] == BENCH_SCHEMA_V5
+        assert result["cells"] == []
+        assert result["baseline_schema"] == BENCH_SCHEMA_V2
 
     def test_format_lists_every_cell(self, baseline_path):
         result = run_compare(baseline_path)
         text = format_compare(result)
         assert "Per-cell events/s vs" in text
         assert "workload:websearch" in text
-        assert "scheduler:heap" in text
+        assert "kernel" in text
         assert "%" in text
 
     def test_bad_inputs_rejected(self, baseline_path, tmp_path):

@@ -94,19 +94,8 @@ def snapshot(**overrides):
             "overhead_fraction": 0.01,
             "figures_identical": True,
         },
-        "scheduler": {
-            "processes": 50,
-            "timeouts": 2000,
-            "events": 100050,
-            "calendar": {"wall_s": 0.3, "events_per_s": 333500.0},
-            "heap": {"wall_s": 0.6, "events_per_s": 166750.0},
-            "calendar_speedup_vs_heap": 2.0,
-        },
     }
     base.update(overrides)
-    if base["schema"] != BENCH_SCHEMA:
-        # Older schemas predate the scheduler head-to-head cell.
-        base.pop("scheduler", None)
     if base["schema"] not in (BENCH_SCHEMA, BENCH_SCHEMA_V5):
         # v1-v4 also predate the metrics-overhead cell.
         base.pop("metrics_overhead", None)
@@ -203,11 +192,13 @@ class TestValidateBench:
     def test_v5_accepted_without_scheduler(self):
         validate_bench(snapshot(schema=BENCH_SCHEMA_V5))
 
-    def test_v6_requires_scheduler(self):
-        bad = snapshot()
-        del bad["scheduler"]
-        with pytest.raises(ValueError, match="scheduler"):
-            validate_bench(bad)
+    def test_v6_scheduler_key_optional_and_ignored(self):
+        # v6 snapshots written before the calendar queue was deleted
+        # carry a ``scheduler`` cell; they still validate and load
+        # unchanged, and newer ones omit it.
+        validate_bench(snapshot())
+        legacy = snapshot(scheduler={"processes": 50})
+        assert migrate_bench(legacy) == legacy
 
 
 class TestMigrateBench:
@@ -217,11 +208,11 @@ class TestMigrateBench:
         assert migrated == original
         assert migrated is not original
 
-    def test_v5_gains_null_scheduler(self):
+    def test_v5_stamped_current(self):
         migrated = migrate_bench(snapshot(schema=BENCH_SCHEMA_V5))
         assert migrated["schema"] == BENCH_SCHEMA
         assert migrated["migrated_from"] == BENCH_SCHEMA_V5
-        assert migrated["scheduler"] is None
+        assert "scheduler" not in migrated
         # v5 sections survive the hop untouched.
         assert migrated["metrics_overhead"]["workload"] == "websearch"
         assert migrated["shard_scaling"]["disks"] == 16
@@ -231,7 +222,6 @@ class TestMigrateBench:
         assert migrated["schema"] == BENCH_SCHEMA
         assert migrated["migrated_from"] == BENCH_SCHEMA_V4
         assert migrated["metrics_overhead"] is None
-        assert migrated["scheduler"] is None
         # v4 sections survive the hop untouched.
         assert migrated["shard_scaling"]["disks"] == 16
 
@@ -241,7 +231,6 @@ class TestMigrateBench:
         assert migrated["migrated_from"] == BENCH_SCHEMA_V3
         assert migrated["shard_scaling"] is None
         assert migrated["metrics_overhead"] is None
-        assert migrated["scheduler"] is None
         # v3 sections survive the hop untouched.
         assert migrated["kernel"]["processes"] == 50
         assert migrated["workload_results"]
@@ -273,7 +262,6 @@ class TestMigrateBench:
         assert migrated["kernel"] is None
         assert migrated["shard_scaling"] is None
         assert migrated["metrics_overhead"] is None
-        assert migrated["scheduler"] is None
 
     def test_v1_oversubscribed_entries_demoted(self):
         v1 = snapshot(
