@@ -10,10 +10,8 @@ Usage (``python -m repro <command> ...``)::
     python -m repro simulate --workload websearch --actuators 4
     python -m repro fig5 --workers 4          # fan runs out over processes
     python -m repro bench                     # write BENCH_<date>.json
-    python -m repro bench --check BENCH_X.json   # regression gate
+    python -m repro bench --check BENCH_X.json   # figures-digest gate
     python -m repro profile --top 10          # cProfile the bench pass
-    python -m repro profile --target kernel --json   # engine microbench
-    python -m repro profile --compare BENCH_X.json   # per-cell deltas
     python -m repro trace limit_study --out trace.json   # Perfetto trace
     python -m repro fig5 --trace fig5.json    # trace any command's runs
     python -m repro report limit_study --html report.html   # analytics
@@ -55,10 +53,6 @@ import sys
 from typing import Callable, Dict, List, Optional
 
 __all__ = ["main"]
-
-#: The reference benchmark scale (the paper's 6000-request limit study);
-#: ``bench --check`` uses it to detect an un-overridden ``--requests``.
-_BENCH_DEFAULT_REQUESTS = 6000
 
 
 def _table1(args) -> None:
@@ -447,6 +441,7 @@ def _chaos(args) -> None:
 
 def _bench(args) -> None:
     from repro.tools.bench import (
+        check_bench,
         format_bench,
         load_bench,
         run_bench,
@@ -454,70 +449,45 @@ def _bench(args) -> None:
     )
 
     baseline = None
+    workloads = None
     if args.check:
         try:
             baseline = load_bench(args.check)
         except (OSError, ValueError) as error:
             raise SystemExit(f"bench --check: {error}")
-        # Time the same configuration the baseline did, so the figure
-        # digests are comparable; explicit flags still win.
-        if args.requests == _BENCH_DEFAULT_REQUESTS:
-            args.requests = baseline["requests"]
-        if args.workloads is None:
-            args.workloads = baseline["workloads"]
+        # Replay exactly what the baseline recorded, so its digest is
+        # always compared.
+        args.requests = baseline["requests"]
+        workloads = baseline["workloads"]
     try:
         result = run_bench(
             requests=args.requests,
+            workloads=workloads,
             workers=args.workers,
-            repeats=args.repeats,
-            workloads=args.workloads,
         )
     except ValueError as error:
         raise SystemExit(f"bench: {error}")
     print(format_bench(result))
-    if baseline is not None:
-        from repro.tools.regress import compare_bench, format_check
-
-        check = compare_bench(
-            baseline, result, tolerance=args.tolerance
-        )
-        print(format_check(check))
-        if args.output:
-            print(f"wrote {write_bench(result, args.output)}")
-        if not check.ok:
-            raise SystemExit(1)
-    else:
+    if baseline is None or args.output:
         print(f"wrote {write_bench(result, args.output)}")
+    if baseline is not None:
+        problems = check_bench(baseline, result)
+        if problems:
+            print("bench check FAILED")
+            print("\n".join(f"  problem: {item}" for item in problems))
+            raise SystemExit(1)
+        print("bench check PASSED (figure digest identical)")
 
 
 def _profile(args) -> None:
-    from repro.tools.profile import (
-        format_compare,
-        format_profile,
-        run_compare,
-        run_profile,
-    )
+    from repro.tools.profile import format_profile, run_profile
 
-    if args.compare:
-        try:
-            result = run_compare(args.compare, repeats=args.repeats)
-        except (OSError, ValueError) as error:
-            raise SystemExit(f"profile --compare: {error}")
-        if args.json:
-            import json
-
-            print(json.dumps(result, indent=2, sort_keys=True))
-        else:
-            print(format_compare(result))
-        return
     try:
         result = run_profile(
-            target=args.target,
             requests=args.requests,
             workloads=args.workloads,
             top=args.top,
             sort=args.sort,
-            shards=args.shards,
         )
     except ValueError as error:
         raise SystemExit(f"profile: {error}")
@@ -999,7 +969,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench = add(
         "bench",
         _bench,
-        "benchmark the simulator on a fixed-seed workload",
+        "replay the fixed-seed limit study and record its figures digest",
     )
     bench.add_argument(
         "-o",
@@ -1008,57 +978,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="output JSON path (default: BENCH_<date>.json in cwd)",
     )
     bench.add_argument(
-        "--repeats",
-        type=int,
-        default=3,
-        help="timed repetitions per configuration (default 3)",
-    )
-    bench.add_argument(
         "--check",
         metavar="BASELINE",
         default=None,
         help=(
-            "compare against a baseline BENCH_*.json snapshot "
-            "(validating schema, figure digest and throughput) and "
-            "exit non-zero on regression; the run adopts the "
-            "baseline's request count unless --requests is given"
-        ),
-    )
-    bench.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.5,
-        help=(
-            "minimum acceptable fraction of baseline serial "
-            "events/sec for --check (default 0.5; 0 disables the "
-            "throughput gate)"
-        ),
-    )
-    bench.add_argument(
-        "--workloads",
-        nargs="+",
-        metavar="NAME",
-        default=None,
-        help=(
-            "subset of commercial workloads to time (default: all); "
-            "--check adopts the baseline's workload set unless given"
+            "replay a baseline BENCH_*.json snapshot's requests and "
+            "workloads (--requests is ignored) and exit non-zero "
+            "unless its figure digest and event count match"
         ),
     )
     # The reference benchmark workload is the 6000-request limit study.
-    bench.set_defaults(requests=_BENCH_DEFAULT_REQUESTS)
+    bench.set_defaults(requests=6000)
     profile = add(
         "profile",
         _profile,
-        "cProfile the simulator hot path (bench pass or engine kernel)",
-    )
-    profile.add_argument(
-        "--target",
-        choices=["bench", "kernel"],
-        default="bench",
-        help=(
-            "what to profile: one serial bench pass per workload, or "
-            "the pure-engine kernel microbenchmark (default bench)"
-        ),
+        "cProfile one serial bench pass per workload",
     )
     profile.add_argument(
         "--top",
@@ -1083,26 +1017,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME",
         default=None,
         help="subset of commercial workloads to profile (default: all)",
-    )
-    profile.add_argument(
-        "--compare",
-        metavar="BASELINE",
-        default=None,
-        help=(
-            "delta mode: re-time every cell of a bench snapshot "
-            "(per-workload serial passes, kernel) "
-            "and report current vs baseline events/s instead of "
-            "profiling"
-        ),
-    )
-    profile.add_argument(
-        "--repeats",
-        type=int,
-        default=1,
-        help=(
-            "timed passes per cell in --compare mode, best-of "
-            "(default 1)"
-        ),
     )
     # A profiled pass is ~4x slower than a timed one; default smaller.
     profile.set_defaults(requests=2000)

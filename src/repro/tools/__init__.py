@@ -6,8 +6,12 @@
   interface.
 * :mod:`repro.tools.validate` — analytic cross-checks of the simulator
   against M/G/1 queueing predictions.
-* :mod:`repro.tools.bench` — the reproducible benchmark harness behind
-  ``python -m repro bench``.
+* :mod:`repro.tools.bench` — the figures-digest gate behind
+  ``python -m repro bench``: replay the fixed-seed limit study and fail
+  ``--check`` unless its digest and event count match a baseline.
+* :mod:`repro.tools.profile` — cProfile one serial bench pass
+  (``python -m repro profile``).  Calibrated timings live in
+  ``perfbench/``.
 """
 
 from repro import _lazy_namespace

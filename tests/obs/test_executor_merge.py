@@ -5,12 +5,8 @@ same results as the serial path and (b) deliver every worker's spans
 and telemetry to the parent tracer, merged in job order.
 """
 
-import pytest
-
 from repro.experiments.executor import Job, sweep
 from repro.obs.tracer import current_tracer, tracing
-
-pytestmark = pytest.mark.bench_smoke
 
 
 def traced_job(tag, count):
