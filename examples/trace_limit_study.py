@@ -3,8 +3,8 @@
 
 Runs a scaled-down Figure 2 limit study (MD vs HC-SD on every
 commercial workload) plus one multi-actuator HC-SD-SA(4) pass under an
-ambient tracer, prints the recorded span and telemetry summary, and
-writes Chrome trace-event JSON.  Drop the output on
+ambient tracer, prints the recorded spans and the telemetry registry
+(Prometheus text exposition), and writes Chrome trace-event JSON.  Drop the output on
 https://ui.perfetto.dev to scrub the run: each drive is a process row,
 each arm assembly a thread track, and every request decomposes into
 queue / seek / rotation / transfer spans.
@@ -17,7 +17,12 @@ Run:  python examples/trace_limit_study.py [requests]
 
 import sys
 
-from repro.obs import validate_chrome_trace, to_chrome_trace, tracing
+from repro.obs import (
+    render_prometheus,
+    to_chrome_trace,
+    tracing,
+    validate_chrome_trace,
+)
 from repro.obs.export import write_chrome_trace
 from repro.obs.run import figures_digest, limit_study_figures
 from repro.experiments.limit_study import run_limit_study
@@ -39,9 +44,7 @@ def main():
     print(f"spans recorded: {len(tracer.spans)} ({by_cat})")
     print(f"tracks: {len(tracer.tracks())} (process, thread) pairs")
     print()
-    for line in tracer.telemetry.summary_lines():
-        print(f"  {line}")
-    print()
+    print(render_prometheus(tracer.telemetry))
 
     # -- determinism check: tracing changed no figure bit -------------
     traced_digest = figures_digest(limit_study_figures(results))

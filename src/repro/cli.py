@@ -286,7 +286,7 @@ def _workloads(args) -> None:
     for workload in COMMERCIAL_WORKLOADS.values():
         trace = workload.generate(args.requests)
         profile = profile_trace(trace)
-        print("\n".join(profile.summary_lines()))
+        print(profile.describe())
         print()
 
 
@@ -885,6 +885,19 @@ def _add_retry_flags(command) -> None:
     )
 
 
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """An argparse ``type``: an int >= ``low``, else a usage error."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its errors
+    return parse
+
+
 def _add_metrics_flag(command) -> None:
     command.add_argument(
         "--metrics",
@@ -914,13 +927,13 @@ def build_parser() -> argparse.ArgumentParser:
         command.set_defaults(handler=handler)
         command.add_argument(
             "--requests",
-            type=int,
+            type=_int_at_least(1),
             default=4000,
-            help="requests per simulation run (default 4000)",
+            help="requests per simulation run (default %(default)s)",
         )
         command.add_argument(
             "--workers",
-            type=int,
+            type=_int_at_least(0),
             default=1,
             help=(
                 "worker processes for independent runs (default 1 = "
@@ -930,7 +943,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         command.add_argument(
             "--shards",
-            type=int,
+            type=_int_at_least(1),
             default=1,
             help=(
                 "engine shards per simulation (default 1 = serial "
@@ -1214,13 +1227,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument(
         "--requests",
-        type=int,
+        type=_int_at_least(1),
         default=1000,
         help="requests per traced run (default 1000)",
     )
     trace.add_argument(
         "--workers",
-        type=int,
+        type=_int_at_least(0),
         default=1,
         help=(
             "worker processes (default 1; 0 = all cores); worker "
@@ -1330,13 +1343,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report.add_argument(
         "--requests",
-        type=int,
+        type=_int_at_least(1),
         default=1000,
         help="requests per traced run (default 1000)",
     )
     report.add_argument(
         "--workers",
-        type=int,
+        type=_int_at_least(0),
         default=1,
         help="worker processes for the traced run (default 1)",
     )

@@ -261,7 +261,7 @@ class ParallelDisk(ConventionalDrive):
                 (self.label, f"arm {farthest.arm_id}"),
                 args={"to_cylinder": target_cylinder},
             )
-            self.tracer.telemetry.counter("arms.repositions").inc()
+            self.tracer.telemetry.counter("repro_arm_repositions_total").inc()
 
     # -- service ------------------------------------------------------------
     def _service_media(self, request: IORequest, overhead: float):
@@ -304,8 +304,8 @@ class ParallelDisk(ConventionalDrive):
                 },
             )
             self.tracer.telemetry.counter(
-                f"arms.selected.{arm.arm_id}"
-            ).inc()
+                "repro_arm_selections_total", labels=("arm",)
+            ).labels(arm=arm.arm_id).inc()
         self._preposition(arm, cylinder)
 
         # Seek, rotation (estimated at decision time for the instant the
@@ -455,10 +455,9 @@ class ParallelDisk(ConventionalDrive):
                     "healthy_remaining": self.healthy_arm_count,
                 },
             )
-            self.tracer.telemetry.counter("arms.deconfigured").inc()
-            self.tracer.telemetry.gauge("arms.healthy").set(
-                self.healthy_arm_count
-            )
+            telemetry = self.tracer.telemetry
+            telemetry.counter("repro_arms_deconfigured_total").inc()
+            telemetry.gauge("repro_arms_healthy").set(self.healthy_arm_count)
 
     # -- diagnostics ----------------------------------------------------------
     def arm_report(self) -> List[dict]:

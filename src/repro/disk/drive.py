@@ -314,7 +314,7 @@ class ConventionalDrive:
             )
         self._armed_faults.append(ArmedMediaFault(attempts=attempts, lba=lba))
         if self.tracer.enabled:
-            self.tracer.telemetry.counter("faults.armed").inc()
+            self.tracer.telemetry.counter("repro_faults_armed_total").inc()
 
     def _media_retry_penalty(self, request: IORequest) -> float:
         """Consume an armed fault hitting ``request``; returns the
@@ -351,10 +351,10 @@ class ConventionalDrive:
             self.stats.unrecovered_errors += 1
         if self.tracer.enabled:
             telemetry = self.tracer.telemetry
-            telemetry.counter("faults.media_errors").inc()
-            telemetry.counter("faults.retries").inc(retries)
+            telemetry.counter("repro_faults_media_errors_total").inc()
+            telemetry.counter("repro_faults_retries_total").inc(retries)
             if unrecovered:
-                telemetry.counter("faults.unrecovered").inc()
+                telemetry.counter("repro_faults_unrecovered_total").inc()
         return penalty
 
     def positioning_estimate(self, request: IORequest) -> float:
@@ -395,16 +395,15 @@ class ConventionalDrive:
 
     def _wire_cache_telemetry(self) -> None:
         """Route cache events into the tracer's telemetry registry."""
-        telemetry = self.tracer.telemetry
-        hits = telemetry.counter("cache.read_hits")
-        misses = telemetry.counter("cache.read_misses")
-        installs = telemetry.counter("cache.write_installs")
-        invalidations = telemetry.counter("cache.invalidations")
+        counter = self.tracer.telemetry.counter
         by_kind = {
-            "hit": hits,
-            "miss": misses,
-            "install_write": installs,
-            "invalidate": invalidations,
+            kind: counter(f"repro_drive_cache_{name}_total").labels()
+            for kind, name in (
+                ("hit", "read_hits"),
+                ("miss", "read_misses"),
+                ("install_write", "write_installs"),
+                ("invalidate", "invalidations"),
+            )
         }
 
         def listener(kind: str, lba: int, size: int) -> None:

@@ -28,13 +28,17 @@ Observability
 -------------
 When an ambient tracer (:func:`repro.obs.tracing`) or an ambient
 metrics registry (:func:`repro.obs.metrics_session`) is active, a
-multi-process sweep transparently collects each worker's spans,
-telemetry and live metrics: the job is wrapped so the worker runs it
-under fresh collectors and ships the recorded payloads back with the
-result, and the parent merges them into the ambient collectors in job
-order — deterministic, and without re-running anything.  Neither
-tracing nor metrics ever changes job *results*; the figures stay
-bit-identical to an unobserved sweep.
+sweep transparently collects each job's spans, telemetry and live
+metrics: a worker runs each job under fresh collectors and returns
+the recorded payloads with its result, and the parent merges them
+into the ambient collectors in job order
+(:meth:`~repro.obs.metrics.MetricsRegistry.merge_snapshot` for both
+registries).  In-process, the ambient collectors observe the jobs
+directly, except that each job's tracer telemetry is gathered in a
+fresh registry and merged the same way, so the merged telemetry is
+identical for any worker count.  Neither tracing nor metrics ever
+changes job *results*; the figures stay bit-identical to an
+unobserved sweep.
 """
 
 from __future__ import annotations
@@ -83,29 +87,35 @@ def _run_job_observed(job: Job, traced: bool, metered: bool) -> Tuple:
 
     Returns ``(result, trace_payload, metrics_snapshot)`` — the
     plain-data forms of everything the job recorded, ready to cross
-    the process boundary.  Either side may be ``None`` when the
-    corresponding collector was not requested.
+    the process boundary.  A collector that was not requested is the
+    null one, whose payload the parent's null collector ignores.
     """
-    from repro.obs.metrics import MetricsRegistry, metrics_session
-    from repro.obs.tracer import Tracer, tracing
+    from repro.obs.metrics import NULL_METRICS, MetricsRegistry
+    from repro.obs.metrics import metrics_session
+    from repro.obs.tracer import NULL_TRACER, Tracer, tracing
 
-    trace_payload = None
-    metrics_snapshot = None
-    if traced and metered:
-        with tracing(Tracer()) as tracer:
-            with metrics_session(MetricsRegistry()) as registry:
-                result = job.run()
-        trace_payload = tracer.payload()
-        metrics_snapshot = registry.snapshot()
-    elif traced:
-        with tracing(Tracer()) as tracer:
+    with tracing(Tracer() if traced else NULL_TRACER) as tracer:
+        registry = MetricsRegistry() if metered else NULL_METRICS
+        with metrics_session(registry):
             result = job.run()
-        trace_payload = tracer.payload()
-    else:
-        with metrics_session(MetricsRegistry()) as registry:
-            result = job.run()
-        metrics_snapshot = registry.snapshot()
-    return result, trace_payload, metrics_snapshot
+    return result, tracer.payload(), registry.snapshot()
+
+
+def _run_job_in_process(job: Job) -> Any:
+    """Run ``job`` under the ambient collectors, gathering the tracer's
+    telemetry in a fresh registry merged back as a worker's would be."""
+    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.tracer import current_tracer
+
+    tracer = current_tracer()
+    if not tracer.enabled:
+        return job.run()
+    telemetry, tracer.telemetry = tracer.telemetry, MetricsRegistry()
+    try:
+        return job.run()
+    finally:
+        job_telemetry, tracer.telemetry = tracer.telemetry, telemetry
+        telemetry.merge_snapshot(job_telemetry.snapshot())
 
 
 def _picklable(jobs: List[Job]) -> bool:
@@ -149,9 +159,7 @@ def sweep(
         )
         workers = 1
     if workers <= 1 or len(job_list) <= 1:
-        # In-process: an active ambient tracer observes the jobs
-        # directly, no wrapping required.
-        return [job.run() for job in job_list]
+        return [_run_job_in_process(job) for job in job_list]
     from concurrent.futures import ProcessPoolExecutor
 
     from repro.obs.metrics import current_metrics
@@ -159,11 +167,12 @@ def sweep(
 
     tracer = current_tracer()
     metrics = current_metrics()
+    runs = job_list
     if tracer.enabled or metrics.enabled:
         # Fan out with per-worker collectors and merge the recorded
         # payloads back (in job order, so merged traces and metric
         # snapshots are deterministic for any worker count).
-        wrapped = [
+        runs = [
             Job(
                 _run_job_observed,
                 (job, tracer.enabled, metrics.enabled),
@@ -171,24 +180,18 @@ def sweep(
             )
             for job in job_list
         ]
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(job_list))
-        ) as pool:
-            triples = list(
-                pool.map(_run_job, wrapped, chunksize=chunksize)
-            )
-        results = []
-        for result, trace_payload, metrics_snapshot in triples:
-            if trace_payload is not None:
-                tracer.merge_payload(trace_payload)
-            if metrics_snapshot is not None:
-                metrics.merge_snapshot(metrics_snapshot)
-            results.append(result)
-        return results
     with ProcessPoolExecutor(
         max_workers=min(workers, len(job_list))
     ) as pool:
-        return list(pool.map(_run_job, job_list, chunksize=chunksize))
+        outputs = list(pool.map(_run_job, runs, chunksize=chunksize))
+    if runs is job_list:
+        return outputs
+    results = []
+    for result, trace_payload, metrics_snapshot in outputs:
+        tracer.merge_payload(trace_payload)
+        metrics.merge_snapshot(metrics_snapshot)
+        results.append(result)
+    return results
 
 
 def sweep_by_key(

@@ -257,14 +257,27 @@ def run_trace(
             )
     if progress is not None and progress.chunk.completed:
         progress.flush()
+    mode = "streamed" if streamed else (
+        "sharded" if engine is not None else "memory"
+    )
+    for registry in (tracer.telemetry, metrics):
+        if registry.enabled:
+            registry.counter(
+                "repro_runs_total", "Completed replays", labels=("mode",)
+            ).labels(mode=mode).inc()
+            if streamed:
+                registry.counter(
+                    "repro_replay_chunks_total", "Streamed chunks replayed"
+                ).inc(chunks_read)
+                registry.counter(
+                    "repro_replay_requests_total",
+                    "Requests replayed from streams",
+                ).inc(submitted)
     if tracer.enabled:
         telemetry = tracer.telemetry
-        telemetry.counter("runs.completed").inc()
-        if streamed:
-            telemetry.counter("runs.streamed").inc()
-        telemetry.stats("run.elapsed_ms").add(env.now)
+        telemetry.summary("repro_run_elapsed_ms").observe(env.now)
         if collector.completed:
-            telemetry.stats("run.mean_response_ms").add(
+            telemetry.summary("repro_run_mean_response_ms").observe(
                 collector.mean_response_ms
             )
     if metrics.enabled:
@@ -272,20 +285,6 @@ def run_trace(
         # bit-identical with metrics on or off.
         wall_s = max(time.perf_counter() - wall_start, 1e-9)
         if streamed:
-            mode = "streamed"
-        else:
-            mode = "sharded" if engine is not None else "memory"
-        metrics.counter(
-            "repro_runs_total", "Completed replays", labels=("mode",)
-        ).labels(mode=mode).inc()
-        if streamed:
-            metrics.counter(
-                "repro_replay_chunks_total", "Streamed chunks replayed"
-            ).inc(chunks_read)
-            metrics.counter(
-                "repro_replay_requests_total",
-                "Requests replayed from streams",
-            ).inc(submitted)
             metrics.gauge(
                 "repro_replay_peak_chunk_requests",
                 "Largest chunk of the last streamed replay",

@@ -138,8 +138,8 @@ class FaultInjector:
                     args=event.to_dict(),
                 )
                 self.tracer.telemetry.counter(
-                    f"faults.injected.{event.kind}"
-                ).inc()
+                    "repro_faults_injected_total", labels=("kind",)
+                ).labels(kind=event.kind).inc()
         else:
             self._skip(event, reason)
 
@@ -151,7 +151,7 @@ class FaultInjector:
             )
         self.skipped.append((event, reason))
         if self.tracer.enabled:
-            self.tracer.telemetry.counter("faults.skipped").inc()
+            self.tracer.telemetry.counter("repro_faults_skipped_total").inc()
 
     # -- application --------------------------------------------------------
     def _targets(self) -> List:

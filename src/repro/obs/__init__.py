@@ -5,24 +5,22 @@ of response time (queue vs. seek vs. rotational latency vs. transfer,
 §7.1–§7.2) directly visible from a single run instead of being
 inferred from aggregate histograms after the fact.
 
-Five pieces:
+Four pieces:
 
 * :class:`~repro.obs.tracer.Tracer` — a low-overhead span recorder
   with per-request, per-drive and per-arm attribution.  The default
   everywhere is the zero-cost :class:`~repro.obs.tracer.NullTracer`,
   so untraced runs execute the exact same arithmetic (figures are
   bit-identical with tracing on or off).
-* :class:`~repro.obs.registry.TelemetryRegistry` — counters, gauges
-  and distribution collectors built on
-  :class:`~repro.sim.stats.OnlineStats` /
-  :class:`~repro.sim.stats.BucketHistogram`, mergeable across worker
-  processes.
-* :class:`~repro.obs.metrics.MetricsRegistry` — *live* operational
-  metrics (Prometheus-style counters / gauges / fixed-bucket
-  histograms with labeled families), a zero-cost
+* :class:`~repro.obs.metrics.MetricsRegistry` — the one metrics
+  model: Prometheus-style counters, gauges, fixed-bucket histograms
+  and exact summaries in labeled ``repro_*`` families, a zero-cost
   :data:`~repro.obs.metrics.NULL_METRICS` default, text-exposition
-  and JSONL exporters, and atomic per-worker snapshot files merged
-  across serve processes (``python -m repro metrics [--watch]``).
+  and JSONL exporters, and one snapshot merge.  A traced run's
+  telemetry (``tracer.telemetry``) is one registry; the live metrics
+  of a ``--metrics`` run or a serve worker are another, and serve
+  workers' atomic snapshot files merge across processes
+  (``python -m repro metrics [--watch]``).
 * Exporters — Chrome trace-event / Perfetto JSON
   (:func:`~repro.obs.export.write_chrome_trace`) and a JSONL span log
   (:func:`~repro.obs.export.write_span_jsonl`), so a limit-study run
@@ -62,6 +60,7 @@ __getattr__, __dir__ = _lazy_namespace(
             "Histogram",
             "MetricsRegistry",
             "NullMetrics",
+            "Summary",
             "append_snapshot_jsonl",
             "current_metrics",
             "merge_worker_snapshots",
@@ -73,7 +72,6 @@ __getattr__, __dir__ = _lazy_namespace(
             "write_prometheus",
             "write_worker_snapshot",
         ),
-        "repro.obs.registry": ("NULL_REGISTRY", "TelemetryRegistry"),
         "repro.obs.report": (
             "render_html",
             "render_text",
@@ -95,7 +93,6 @@ __getattr__, __dir__ = _lazy_namespace(
 
 __all__ = [
     "NULL_METRICS",
-    "NULL_REGISTRY",
     "NULL_TRACER",
     "PHASES",
     "Counter",
@@ -105,8 +102,8 @@ __all__ = [
     "NullMetrics",
     "NullTracer",
     "Span",
+    "Summary",
     "Tracer",
-    "TelemetryRegistry",
     "TraceAnalysis",
     "analyze",
     "append_snapshot_jsonl",

@@ -61,7 +61,7 @@ def format_dashboard(
         )
 
     kinds: Dict[str, List[Tuple[str, Dict]]] = {
-        "gauge": [], "counter": [], "histogram": []
+        "gauge": [], "counter": [], "histogram": [], "summary": []
     }
     for name in sorted(families):
         entry = families[name]
@@ -81,7 +81,7 @@ def format_dashboard(
             )
 
     histogram_rows = []
-    for name, entry in kinds["histogram"]:
+    for name, entry in kinds["histogram"] + kinds["summary"]:
         for item in entry.get("series", ()):
             count = item.get("count", 0)
             total = item.get("sum", 0.0)

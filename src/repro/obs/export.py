@@ -117,10 +117,13 @@ def validate_chrome_trace(trace: Dict) -> List[str]:
     """Structural validation; returns a list of problems (empty = valid).
 
     Checks the invariants Perfetto's importer relies on: the
-    ``traceEvents`` list, per-event phase codes, numeric ``ts``, and
-    ``dur`` on every complete (``X``) event.
+    ``traceEvents`` list, per-event phase codes, numeric ``ts``,
+    ``dur`` on every complete (``X``) event, and a named track on
+    every ``process_name``/``thread_name`` metadata event.
     """
     problems: List[str] = []
+    if not isinstance(trace, dict):
+        return ["not a JSON object"]
     events = trace.get("traceEvents")
     if not isinstance(events, list):
         return ["traceEvents missing or not a list"]
@@ -136,6 +139,16 @@ def validate_chrome_trace(trace: Dict) -> List[str]:
         if "name" not in event:
             problems.append(f"{where}: missing name")
         if phase == "M":
+            if event.get("name") in ("process_name", "thread_name") and not (
+                isinstance(event.get("args"), dict)
+                and isinstance(event["args"].get("name"), str)
+                and isinstance(event.get("pid"), int)
+                and isinstance(event.get("tid"), int)
+            ):
+                problems.append(
+                    f"{where}: {event['name']} needs int pid and tid and "
+                    "a string args.name"
+                )
             continue
         for key in ("pid", "tid"):
             if not isinstance(event.get(key), int):
@@ -156,7 +169,8 @@ def read_chrome_trace(path: str):
     (``python -m repro report --from-trace``): metadata events restore
     the ``(process, thread)`` track names, ``X``/``i`` events become
     spans/instants, and the embedded telemetry snapshot is merged into
-    the tracer's registry.
+    the tracer's registry.  A file that is not a valid export raises
+    ``ValueError("<path>: …")``.
 
     Round-trip caveat: exported timestamps are ms × 1000 (trace-event
     µs), so reloaded ``ts``/``dur`` values can differ from the
@@ -181,7 +195,19 @@ def read_chrome_trace(path: str):
             processes[event["pid"]] = event["args"]["name"]
         elif event["name"] == "thread_name":
             threads[(event["pid"], event["tid"])] = event["args"]["name"]
+    other = trace.get("otherData", {})
+    if not isinstance(other, dict):
+        raise ValueError(f"{path}: otherData is not an object")
+    dropped = other.get("dropped_spans", 0)
+    if type(dropped) is not int or dropped < 0:
+        raise ValueError(f"{path}: otherData.dropped_spans is not an int >= 0")
     tracer = Tracer()
+    if "telemetry" in other:
+        try:
+            tracer.telemetry.merge_snapshot(other["telemetry"])
+        except ValueError as error:
+            raise ValueError(f"{path}: telemetry: {error}") from None
+    tracer.dropped_spans = dropped
     for event in trace["traceEvents"]:
         phase = event.get("ph")
         if phase not in ("X", "i"):
@@ -200,9 +226,6 @@ def read_chrome_trace(path: str):
             event.get("args"),
         )
         tracer.spans.append(span)
-    other = trace.get("otherData", {})
-    tracer.telemetry.merge_snapshot(other.get("telemetry", {}))
-    tracer.dropped_spans = other.get("dropped_spans", 0)
     return tracer
 
 

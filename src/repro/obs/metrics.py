@@ -1,4 +1,4 @@
-"""Live operational metrics: counters, gauges and histograms.
+"""Metrics: counters, gauges, histograms and summaries.
 
 Where :mod:`repro.obs.tracer` answers "what happened inside this run"
 after the fact, this module answers "what is the system doing right
@@ -12,7 +12,7 @@ stay bit-identical with metrics on or off.  Instrumentation never
 schedules simulation events or reads simulated clocks to make
 control decisions; wall-clock measurement is the only side channel.
 
-Three metric kinds, Prometheus-flavoured:
+Four metric kinds, Prometheus-flavoured:
 
 * :class:`Counter` — monotonically non-decreasing totals
   (``repro_jobs_completed_total``).
@@ -22,6 +22,10 @@ Three metric kinds, Prometheus-flavoured:
   declaration time (never adapted to data), so two runs observing
   the same values produce byte-identical snapshots
   (``repro_job_wall_ms``).
+* :class:`Summary` — exact count, sum, mean, variance, minimum and
+  maximum (:class:`~repro.sim.stats.OnlineStats`), for per-run
+  aggregates whose range is not known in advance
+  (``repro_run_elapsed_ms``).
 
 Metrics are declared on a :class:`MetricsRegistry` as *families*
 with a fixed label-name set; ``family.labels(worker="w0")`` returns
@@ -34,7 +38,11 @@ file, stdout or a scrape shim), :func:`append_snapshot_jsonl`
 :func:`merge_worker_snapshots`) as the cross-process aggregation
 path for ``repro serve`` workers: each worker atomically replaces
 its own file under ``<queue>/metrics/`` and any reader merges the
-set (counters and histograms add, gauges last-write-wins).
+set (counters and histograms add, summaries merge exactly, gauges
+last-write-wins).  :meth:`MetricsRegistry.merge_snapshot` is the one
+merge for every snapshot that crosses a process or file boundary:
+serve worker files, sweep-worker trace payloads and the telemetry
+embedded in an exported trace.
 
 Discovery mirrors the tracer: :func:`current_metrics` /
 :func:`set_current_metrics` / the :func:`metrics_session` context
@@ -53,9 +61,10 @@ from bisect import bisect_left
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
+from repro.sim.stats import OnlineStats
+
 __all__ = [
     "DEFAULT_LATENCY_BUCKETS_MS",
-    "DEFAULT_SIZE_BUCKETS",
     "METRICS_DIRNAME",
     "METRICS_SCHEMA",
     "NULL_METRICS",
@@ -65,6 +74,7 @@ __all__ = [
     "MetricFamily",
     "MetricsRegistry",
     "NullMetrics",
+    "Summary",
     "append_snapshot_jsonl",
     "current_metrics",
     "load_worker_snapshots",
@@ -90,12 +100,6 @@ METRICS_DIRNAME = "metrics"
 DEFAULT_LATENCY_BUCKETS_MS: Tuple[float, ...] = (
     0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0,
     250.0, 500.0, 1000.0, 2500.0, 5000.0, 10000.0, 30000.0, 60000.0,
-)
-
-#: Fixed size/count bucket upper bounds (requests, sectors, bytes).
-DEFAULT_SIZE_BUCKETS: Tuple[float, ...] = (
-    1.0, 4.0, 16.0, 64.0, 256.0, 1024.0, 4096.0, 16384.0,
-    65536.0, 262144.0, 1048576.0,
 )
 
 _METRIC_NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
@@ -172,7 +176,36 @@ class Histogram:
         return self.sum / self.count if self.count else 0.0
 
 
-_FACTORIES = {"counter": Counter, "gauge": Gauge}
+class Summary(OnlineStats):
+    """Exact count, sum, mean, variance, minimum and maximum of the
+    observed values.  Snapshots merge with the parallel-Welford
+    formula of :meth:`~repro.sim.stats.OnlineStats.merge`."""
+
+    kind = "summary"
+
+    def observe(self, value: float) -> None:
+        self.add(value)
+
+
+_KINDS = {
+    "counter": Counter,
+    "gauge": Gauge,
+    "histogram": Histogram,
+    "summary": Summary,
+}
+
+#: The numeric fields of one snapshot series and the child attribute
+#: each holds, per kind; histograms also carry a ``counts`` list, one
+#: entry per bucket plus +Inf.
+_SERIES_FIELDS = {
+    "counter": (("value", "value"),),
+    "gauge": (("value", "value"),),
+    "histogram": (("sum", "sum"), ("count", "count")),
+    "summary": (
+        ("count", "count"), ("sum", "total"), ("mean", "_mean"),
+        ("m2", "_m2"), ("min", "minimum"), ("max", "maximum"),
+    ),
+}
 
 
 class MetricFamily:
@@ -191,6 +224,8 @@ class MetricFamily:
     ) -> None:
         if not _METRIC_NAME_RE.match(name):
             raise ValueError(f"bad metric name {name!r}")
+        if kind not in _KINDS:
+            raise ValueError(f"unknown metric kind {kind!r} for {name}")
         for label in label_names:
             if not _LABEL_NAME_RE.match(label):
                 raise ValueError(f"bad label name {label!r} for {name}")
@@ -212,7 +247,7 @@ class MetricFamily:
     def _make_child(self):
         if self.kind == "histogram":
             return Histogram(self.buckets)
-        return _FACTORIES[self.kind]()
+        return _KINDS[self.kind]()
 
     def labels(self, **labels: object):
         """The child series for one label-value combination
@@ -287,19 +322,7 @@ class MetricsRegistry:
             )
             self._families[name] = family
             return family
-        if family.kind != kind:
-            raise ValueError(
-                f"{name} already declared as {family.kind}, not {kind}"
-            )
-        if family.label_names != tuple(labels):
-            raise ValueError(
-                f"{name} already declared with labels "
-                f"{list(family.label_names)}, not {list(labels)}"
-            )
-        if buckets is not None and family.buckets != tuple(
-            float(edge) for edge in buckets
-        ):
-            raise ValueError(f"{name} already declared with other buckets")
+        _check_agrees(family, kind, labels, buckets)
         if help and not family.help:
             family.help = help
         return family
@@ -323,15 +346,17 @@ class MetricsRegistry:
     ) -> MetricFamily:
         return self._family(name, "histogram", help, labels, buckets=buckets)
 
+    def summary(
+        self, name: str, help: str = "", labels: Sequence[str] = ()
+    ) -> MetricFamily:
+        return self._family(name, "summary", help, labels)
+
     def families(self) -> List[MetricFamily]:
         return [self._families[name] for name in sorted(self._families)]
 
     def sample_count(self) -> int:
         """Total number of live series across all families."""
         return sum(len(f._children) for f in self._families.values())
-
-    def clear(self) -> None:
-        self._families.clear()
 
     # -- snapshots ----------------------------------------------------
 
@@ -347,60 +372,176 @@ class MetricsRegistry:
             }
             if family.kind == "histogram":
                 entry["buckets"] = list(family.buckets)
-                entry["series"] = [
-                    {
-                        "labels": dict(zip(family.label_names, key)),
-                        "counts": list(child.bucket_counts),
-                        "sum": child.sum,
-                        "count": child.count,
-                    }
-                    for key, child in family.series()
-                ]
-            else:
-                entry["series"] = [
-                    {
-                        "labels": dict(zip(family.label_names, key)),
-                        "value": child.value,
-                    }
-                    for key, child in family.series()
-                ]
+            entry["series"] = [
+                _series_entry(family, key, child)
+                for key, child in family.series()
+            ]
             families[family.name] = entry
         return {"schema": METRICS_SCHEMA, "families": families}
 
     def merge_snapshot(self, snapshot: Dict) -> None:
         """Fold ``snapshot`` (from :meth:`snapshot`) into this
-        registry: counters and histograms add, gauges last-write-wins.
-        Families must agree on kind/labels/buckets."""
-        schema = snapshot.get("schema")
-        if schema != METRICS_SCHEMA:
-            raise ValueError(
-                f"cannot merge metrics schema {schema!r} "
-                f"(expected {METRICS_SCHEMA})"
-            )
-        for name, entry in sorted(snapshot.get("families", {}).items()):
-            kind = entry["kind"]
-            labels = tuple(entry.get("labels", ()))
+        registry: counters and histograms add, summaries merge exactly
+        (parallel Welford), gauges last-write-wins.
+
+        The whole snapshot is checked first — its shape, and that each
+        family agrees on kind, labels and buckets with any family of
+        that name already here — so a malformed one raises
+        ``ValueError`` naming the family and changes nothing.
+        """
+        checked = _checked_families(snapshot)
+        for probe, _ in checked:
+            family = self._families.get(probe.name)
+            if family is not None:
+                _check_agrees(
+                    family, probe.kind, probe.label_names, probe.buckets
+                )
+        for probe, series in checked:
             family = self._family(
-                name, kind, entry.get("help", ""), labels,
-                buckets=entry.get("buckets"),
+                probe.name, probe.kind, probe.help, probe.label_names,
+                buckets=probe.buckets,
             )
-            for item in entry.get("series", ()):
-                child = family.labels(**item.get("labels", {}))
-                if kind == "counter":
-                    child.inc(item["value"])
-                elif kind == "gauge":
-                    child.set(item["value"])
-                else:
-                    counts = item["counts"]
-                    if len(counts) != len(child.bucket_counts):
-                        raise ValueError(
-                            f"{name}: bucket count mismatch "
-                            f"({len(counts)} vs {len(child.bucket_counts)})"
-                        )
-                    for index, delta in enumerate(counts):
-                        child.bucket_counts[index] += delta
-                    child.sum += item["sum"]
-                    child.count += item["count"]
+            for item in series:
+                _merge_series(
+                    family.labels(**item.get("labels", {})), item
+                )
+
+
+def _check_agrees(family: MetricFamily, kind: str, labels, buckets) -> None:
+    """Raise ``ValueError`` unless a redeclaration matches ``family``."""
+    name = family.name
+    if family.kind != kind:
+        raise ValueError(
+            f"{name} already declared as {family.kind}, not {kind}"
+        )
+    if family.label_names != tuple(labels):
+        raise ValueError(
+            f"{name} already declared with labels "
+            f"{list(family.label_names)}, not {list(labels)}"
+        )
+    if buckets is not None and family.buckets != tuple(
+        float(edge) for edge in buckets
+    ):
+        raise ValueError(f"{name} already declared with other buckets")
+
+
+def _series_entry(family: MetricFamily, key: Tuple[str, ...], child) -> Dict:
+    """One series of :meth:`MetricsRegistry.snapshot`."""
+    entry: Dict[str, object] = {"labels": dict(zip(family.label_names, key))}
+    if family.kind == "histogram":
+        entry["counts"] = list(child.bucket_counts)
+    for field, attribute in _SERIES_FIELDS[family.kind]:
+        entry[field] = getattr(child, attribute)
+    return entry
+
+
+def _merge_series(child, item: Dict) -> None:
+    """Fold one checked snapshot series into ``child``."""
+    if child.kind == "counter":
+        child.inc(item["value"])
+    elif child.kind == "gauge":
+        child.set(item["value"])
+    elif child.kind == "histogram":
+        for index, delta in enumerate(item["counts"]):
+            child.bucket_counts[index] += delta
+        child.sum += item["sum"]
+        child.count += item["count"]
+    else:
+        other = OnlineStats()
+        for field, attribute in _SERIES_FIELDS["summary"]:
+            setattr(other, attribute, item[field])
+        # In place: instrumentation sites may hold the child.
+        vars(child).update(vars(child.merge(other)))
+
+
+def _is_number(value: object) -> bool:
+    """A JSON number that converts to a float (``bool`` is not one)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        float(value)
+    except OverflowError:  # an int beyond float range
+        return False
+    return True
+
+
+def _numbers(values: object) -> bool:
+    """``values`` is a list of :func:`_is_number` values."""
+    return isinstance(values, list) and all(map(_is_number, values))
+
+
+def _checked_family(name: object, entry: object) -> Tuple[MetricFamily, List]:
+    """A detached :class:`MetricFamily` for one snapshot entry, plus
+    its series, after checking every field the merge reads."""
+    if not isinstance(entry, dict):
+        raise ValueError("the entry is not a dict")
+    kind, labels = entry.get("kind"), entry.get("labels", [])
+    help_text, series = entry.get("help", ""), entry.get("series", [])
+    buckets = entry.get("buckets") if kind == "histogram" else None
+    if not (
+        all(isinstance(text, str) for text in (name, kind, help_text))
+        and isinstance(labels, list)
+        and all(isinstance(label, str) for label in labels)
+        and (buckets is None or _numbers(buckets))
+        and isinstance(series, list)
+    ):
+        raise ValueError("name, kind, help, labels, buckets or series is "
+                         "of the wrong type")
+    # The constructor checks the kind, the names and the bucket bounds.
+    probe = MetricFamily(name, kind, help_text, labels, buckets)
+    fields = [field for field, _ in _SERIES_FIELDS[kind]]
+    for item in series:
+        if not isinstance(item, dict):
+            raise ValueError("a series is not a dict")
+        item_labels = item.get("labels", {})
+        if not (
+            isinstance(item_labels, dict)
+            and set(item_labels) == set(probe.label_names)
+            and all(isinstance(value, str) for value in item_labels.values())
+        ):
+            raise ValueError(
+                f"series labels {item_labels!r} do not match "
+                f"{list(probe.label_names)}"
+            )
+        if not _numbers([item.get(field) for field in fields]) or (
+            kind == "counter" and item["value"] < 0
+        ):
+            raise ValueError(
+                f"series {item_labels}: {', '.join(fields)} must be "
+                "numbers (a counter's >= 0)"
+            )
+        counts = item.get("counts")
+        if kind == "histogram" and not (
+            _numbers(counts) and len(counts) == len(probe.buckets) + 1
+        ):
+            raise ValueError(
+                f"series {item_labels}: bucket counts do not match "
+                f"the {len(probe.buckets)} buckets"
+            )
+    return probe, series
+
+
+def _checked_families(snapshot: object) -> List[Tuple[MetricFamily, List]]:
+    """Every family of ``snapshot`` as checked by :func:`_checked_family`;
+    raises ``ValueError`` naming the first malformed family."""
+    if not isinstance(snapshot, dict):
+        raise ValueError("metrics snapshot is not a dict")
+    schema = snapshot.get("schema")
+    if schema != METRICS_SCHEMA:
+        raise ValueError(
+            f"cannot merge metrics schema {schema!r} "
+            f"(expected {METRICS_SCHEMA})"
+        )
+    families = snapshot.get("families", {})
+    if not isinstance(families, dict):
+        raise ValueError("metrics snapshot: families is not a dict")
+    checked = []
+    for name, entry in families.items():
+        try:
+            checked.append(_checked_family(name, entry))
+        except ValueError as error:
+            raise ValueError(f"metric family {name!r}: {error}") from None
+    return checked
 
 
 class NullMetrics:
@@ -423,6 +564,9 @@ class NullMetrics:
         return self
 
     def histogram(self, name, help="", labels=(), buckets=()) -> "NullMetrics":
+        return self
+
+    def summary(self, name, help="", labels=()) -> "NullMetrics":
         return self
 
     def labels(self, **labels) -> "NullMetrics":
@@ -450,9 +594,6 @@ class NullMetrics:
         return {"schema": METRICS_SCHEMA, "families": {}}
 
     def merge_snapshot(self, snapshot: Dict) -> None:
-        pass
-
-    def clear(self) -> None:
         pass
 
 
@@ -525,25 +666,19 @@ def _escape_label(value: str) -> str:
     )
 
 
-def _label_text(names: Sequence[str], values: Sequence[str]) -> str:
-    if not names:
-        return ""
-    inner = ",".join(
-        f'{name}="{_escape_label(value)}"'
-        for name, value in zip(names, values)
-    )
-    return "{" + inner + "}"
-
-
-def _merge_label_text(
-    names: Sequence[str], values: Sequence[str], extra: str, extra_value: str
+def _label_text(
+    names: Sequence[str],
+    values: Sequence[str],
+    extra: str = "",
+    extra_value: str = "",
 ) -> str:
-    inner = [
+    pairs = [
         f'{name}="{_escape_label(value)}"'
         for name, value in zip(names, values)
     ]
-    inner.append(f'{extra}="{_escape_label(extra_value)}"')
-    return "{" + ",".join(inner) + "}"
+    if extra:
+        pairs.append(f'{extra}="{_escape_label(extra_value)}"')
+    return "{" + ",".join(pairs) + "}" if pairs else ""
 
 
 def render_prometheus(source: Union[MetricsRegistry, Dict]) -> str:
@@ -572,29 +707,24 @@ def render_prometheus(source: Union[MetricsRegistry, Dict]) -> str:
                 item.get("labels", {}).get(label, "")
                 for label in label_names
             )
+            text = _label_text(label_names, values)
+            if kind in ("counter", "gauge"):
+                lines.append(f"{name}{text} {_fmt(item['value'])}")
+                continue
             if kind == "histogram":
                 bounds = list(entry.get("buckets", ())) + [math.inf]
                 cumulative = 0
                 for bound, count in zip(bounds, item["counts"]):
                     cumulative += count
-                    lines.append(
-                        f"{name}_bucket"
-                        f"{_merge_label_text(label_names, values, 'le', _fmt(bound))}"
-                        f" {cumulative}"
-                    )
-                lines.append(
-                    f"{name}_sum{_label_text(label_names, values)}"
-                    f" {_fmt(item['sum'])}"
-                )
-                lines.append(
-                    f"{name}_count{_label_text(label_names, values)}"
-                    f" {item['count']}"
-                )
-            else:
-                lines.append(
-                    f"{name}{_label_text(label_names, values)}"
-                    f" {_fmt(item['value'])}"
-                )
+                    le = _label_text(label_names, values, "le", _fmt(bound))
+                    lines.append(f"{name}_bucket{le} {cumulative}")
+            elif item["count"]:
+                # A summary's 0- and 1-quantiles are its min and max.
+                for quantile, field in (("0", "min"), ("1", "max")):
+                    at = _label_text(label_names, values, "quantile", quantile)
+                    lines.append(f"{name}{at} {_fmt(item[field])}")
+            lines.append(f"{name}_sum{text} {_fmt(item['sum'])}")
+            lines.append(f"{name}_count{text} {_fmt(item['count'])}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -731,7 +861,9 @@ def write_worker_snapshot(
 def load_worker_snapshots(root: Union[str, os.PathLike]) -> List[Dict]:
     """All worker snapshot payloads under ``<root>/metrics/``, sorted
     by filename.  Unreadable or half-typed files are skipped (the
-    writer is atomic, but a scraper may race a deleted queue)."""
+    writer is atomic, but a scraper may race a deleted queue), and so
+    are files whose ``metrics`` snapshot or ``written_at`` stamp is
+    malformed."""
     directory = metrics_dir(root)
     try:
         names = sorted(os.listdir(directory))
@@ -746,7 +878,15 @@ def load_worker_snapshots(root: Union[str, os.PathLike]) -> List[Dict]:
                 payload = json.load(handle)
         except (OSError, ValueError):
             continue
-        if payload.get("schema") != METRICS_SCHEMA:
+        if not (
+            isinstance(payload, dict)
+            and payload.get("schema") == METRICS_SCHEMA
+            and _is_number(payload.get("written_at", 0.0))
+        ):
+            continue
+        try:
+            _checked_families(payload.get("metrics"))
+        except ValueError:
             continue
         payloads.append(payload)
     return payloads
@@ -758,7 +898,7 @@ def merge_worker_snapshots(
     now: Optional[float] = None,
 ) -> Tuple[MetricsRegistry, List[Dict]]:
     """Merge every worker snapshot under ``<root>/metrics/`` into one
-    registry (counters/histograms add, gauges last-write-wins) and
+    registry (:meth:`MetricsRegistry.merge_snapshot`) and
     derive per-worker heartbeat gauges:
 
     * ``repro_worker_heartbeat_timestamp{worker,pid}`` — wall-clock

@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.metrics.report import format_table, hbar
 from repro.obs.analysis import TraceAnalysis
+from repro.obs.metrics import render_prometheus
 
 __all__ = [
     "render_html",
@@ -207,31 +208,10 @@ def render_text(
                 float_format="{:.3f}",
             )
         )
-    telemetry_lines = _telemetry_lines(analysis)
-    if telemetry_lines:
-        blocks.append(
-            "Telemetry\n" + "\n".join(telemetry_lines)
-        )
+    telemetry = render_prometheus(analysis.telemetry)
+    if telemetry:
+        blocks.append("Telemetry\n" + telemetry.rstrip("\n"))
     return "\n\n".join(blocks)
-
-
-def _telemetry_lines(analysis: TraceAnalysis) -> List[str]:
-    lines = []
-    counters = analysis.telemetry.get("counters", {})
-    for name in sorted(counters):
-        lines.append(f"counter {name} = {counters[name]}")
-    gauges = analysis.telemetry.get("gauges", {})
-    for name in sorted(gauges):
-        lines.append(f"gauge {name} = {gauges[name]:g}")
-    stats = analysis.telemetry.get("stats", {})
-    for name in sorted(stats):
-        payload = stats[name]
-        lines.append(
-            f"stats {name}: n={payload['count']} "
-            f"mean={payload['mean']:.3f} min={payload['min']:.3f} "
-            f"max={payload['max']:.3f}"
-        )
-    return lines
 
 
 _HTML_STYLE = """
@@ -331,14 +311,11 @@ def render_html(
             parts.append("</table>")
         else:
             parts.extend(_html_table(headers, rows))
-    telemetry_lines = _telemetry_lines(analysis)
-    if telemetry_lines:
-        parts.append("<h2>Telemetry</h2><ul>")
-        parts.extend(
-            f"<li><code>{html.escape(line)}</code></li>"
-            for line in telemetry_lines
+    telemetry = render_prometheus(analysis.telemetry)
+    if telemetry:
+        parts.append(
+            f"<h2>Telemetry</h2><pre>{html.escape(telemetry)}</pre>"
         )
-        parts.append("</ul>")
     parts.append("</body></html>")
     return "\n".join(parts)
 

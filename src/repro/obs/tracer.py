@@ -33,7 +33,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.obs.registry import NULL_REGISTRY, TelemetryRegistry
+from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 
 __all__ = [
     "NULL_TRACER",
@@ -136,7 +136,7 @@ class Tracer:
     def __init__(self, max_spans: Optional[int] = None):
         if max_spans is not None and max_spans <= 0:
             raise ValueError(f"max_spans must be positive, got {max_spans}")
-        self.telemetry = TelemetryRegistry()
+        self.telemetry = MetricsRegistry()
         self.max_spans = max_spans
         self.dropped_spans = 0
         self._scopes: List[str] = []
@@ -266,14 +266,14 @@ class Tracer:
         """Fold a worker tracer's :meth:`payload` into this tracer."""
         for item in payload.get("spans", []):
             self._store(Span.from_tuple(item))
-        self.telemetry.merge_snapshot(payload.get("telemetry", {}))
+        self.telemetry.merge_snapshot(payload["telemetry"])
         self.dropped_spans += payload.get("dropped_spans", 0)
 
     def clear(self) -> None:
         self._materialized.clear()
         self._buffer = [None] * self.BUFFER_SLOTS
         self._buffered = 0
-        self.telemetry = TelemetryRegistry()
+        self.telemetry = MetricsRegistry()
         self.dropped_spans = 0
 
 
@@ -286,7 +286,7 @@ class NullTracer:
     """
 
     enabled = False
-    telemetry = NULL_REGISTRY
+    telemetry = NULL_METRICS
     spans: List[Span] = []
     dropped_spans = 0
 
@@ -309,7 +309,8 @@ class NullTracer:
         return []
 
     def payload(self) -> Dict:
-        return {"spans": [], "telemetry": {}, "dropped_spans": 0}
+        telemetry = NULL_METRICS.snapshot()
+        return {"spans": [], "telemetry": telemetry, "dropped_spans": 0}
 
     def merge_payload(self, payload: Dict) -> None:
         pass

@@ -319,7 +319,7 @@ class DiskArray:
                         },
                     )
                     self.tracer.telemetry.counter(
-                        "array.degraded_requests"
+                        "repro_array_degraded_requests_total"
                     ).inc()
                 return slices
             raise RuntimeError(
@@ -359,7 +359,9 @@ class DiskArray:
                 (self.label, "faults"),
                 args={"drive": index, "outstanding": len(self._outstanding)},
             )
-            self.tracer.telemetry.counter("array.drive_failures").inc()
+            self.tracer.telemetry.counter(
+                "repro_array_drive_failures_total"
+            ).inc()
         from repro.raid.layout import Raid5Layout
 
         if not isinstance(self.layout, Raid5Layout):
@@ -392,7 +394,7 @@ class DiskArray:
         self.aborted_requests += len(aborted)
         if self.tracer.enabled and aborted:
             self.tracer.telemetry.counter(
-                "array.aborted_requests"
+                "repro_array_aborted_requests_total"
             ).inc(len(aborted))
 
     def degraded_time_ms(self, now: Optional[float] = None) -> float:
@@ -441,7 +443,7 @@ class DiskArray:
                 (self.label, "rebuild"),
                 args={"failed_disk": self._failed_disk},
             )
-            self.tracer.telemetry.counter("rebuild.started").inc()
+            self.tracer.telemetry.counter("repro_rebuilds_started_total").inc()
         return self.env.process(self._rebuild_wrapper(replacement))
 
     def _rebuild_wrapper(self, replacement: ConventionalDrive):
@@ -506,8 +508,8 @@ class DiskArray:
                     track,
                     args={"row": row, "progress": self.rebuild_progress},
                 )
-                tracer.telemetry.counter("rebuild.rows").inc()
-                tracer.telemetry.gauge("rebuild.progress").set(
+                tracer.telemetry.counter("repro_rebuild_rows_total").inc()
+                tracer.telemetry.gauge("repro_rebuild_progress").set(
                     self.rebuild_progress
                 )
         self.drives[failed] = replacement
@@ -526,7 +528,9 @@ class DiskArray:
                     "window_ms": self.rebuild_window_ms,
                 },
             )
-            tracer.telemetry.gauge("array.degraded_ms").set(self.degraded_ms)
+            tracer.telemetry.gauge("repro_array_degraded_ms").set(
+                self.degraded_ms
+            )
 
     def _run(self, request: IORequest, slices: List[Slice], completion: Event):
         phases = sorted({piece.phase for piece in slices})
@@ -619,7 +623,7 @@ class DiskArray:
             self.unrecovered_requests += 1
             if self.tracer.enabled:
                 self.tracer.telemetry.counter(
-                    "array.unrecovered_requests"
+                    "repro_array_unrecovered_requests_total"
                 ).inc()
         self.requests_completed += 1
         self._outstanding.pop(request.request_id, None)
@@ -669,7 +673,7 @@ class DiskArray:
                             },
                         )
                         self.tracer.telemetry.counter(
-                            "array.deadline_misses"
+                            "repro_array_deadline_misses_total"
                         ).inc()
                     yield event
             else:
@@ -690,7 +694,9 @@ class DiskArray:
                         "attempt": attempt,
                     },
                 )
-                self.tracer.telemetry.counter("array.slice_retries").inc()
+                self.tracer.telemetry.counter(
+                    "repro_array_slice_retries_total"
+                ).inc()
             if policy.backoff_ms > 0.0:
                 yield self.env.timeout(policy.backoff_ms * (attempt - 1))
 

@@ -345,10 +345,7 @@ def _build_system(spec: JobSpec, env):
     )
 
 
-def run_job(
-    spec: JobSpec,
-    on_chunk=None,
-) -> Tuple[Dict, Dict]:
+def run_job(spec: JobSpec) -> Tuple[Dict, Dict]:
     """Execute ``spec`` and return ``(payload, stats)``.
 
     ``payload`` is the canonical, cacheable result — figures only, no
@@ -368,8 +365,6 @@ def run_job(
     def count_chunk(progress):
         nonlocal chunks
         chunks += 1
-        if on_chunk is not None:
-            on_chunk(progress)
 
     if spec.workload:
         from repro.workloads.commercial import COMMERCIAL_WORKLOADS

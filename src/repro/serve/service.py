@@ -9,8 +9,10 @@ The flow, end to end:
    worker claims jobs atomically, consults the result cache first — a
    duplicate submission is acked as a **cache hit** without
    simulating — and otherwise runs the simulation, stores the
-   canonical payload, and acks with per-job telemetry (wall time,
-   chunk count, a telemetry registry snapshot).
+   canonical payload, and acks with the job's wall time (plus request
+   and chunk counts for a simulated job).  With ``metrics`` on, every
+   job event is counted once, on the worker's live
+   :class:`~repro.obs.metrics.MetricsRegistry`.
 3. ``result`` reads a finished job's payload back from the cache via
    the cache key recorded in its outcome.
 
@@ -50,7 +52,6 @@ from repro.obs.metrics import (
     set_current_metrics,
     write_worker_snapshot,
 )
-from repro.obs.registry import TelemetryRegistry
 from repro.serve.cache import ResultCache
 from repro.serve.jobs import (
     JobSpec,
@@ -95,6 +96,16 @@ class GracefulShutdown(BaseException):
 
 def _cache_root(queue_dir: str, cache_dir: Optional[str]) -> str:
     return cache_dir or os.path.join(str(queue_dir), "cache")
+
+
+def _count(
+    registry, worker: str, name: str, help_text: str, amount: float = 1
+) -> None:
+    """Add ``amount`` to a per-worker counter of an enabled registry."""
+    if registry.enabled:
+        registry.counter(name, help_text, labels=("worker",)).labels(
+            worker=worker
+        ).inc(amount)
 
 
 def _retry_counter(call_name: str):
@@ -187,7 +198,7 @@ def worker_loop(
     durable: bool = True,
     handle_signals: bool = False,
 ) -> Dict:
-    """Claim-and-run until stopped; returns this worker's telemetry.
+    """Claim-and-run until stopped; returns ``{"worker", "processed"}``.
 
     ``drain=True`` exits when no pending work remains (the CI/batch
     mode); otherwise the loop polls forever and is stopped by signal.
@@ -214,7 +225,6 @@ def worker_loop(
         durable=durable,
     )
     cache = ResultCache(_cache_root(queue_dir, cache_dir))
-    telemetry = TelemetryRegistry()
     worker_name = owner or f"worker-{os.getpid()}"
     failpoints = current_failpoints()
     if failpoints.enabled:
@@ -256,18 +266,11 @@ def worker_loop(
         last_beat = now
 
     def count_quarantined() -> None:
-        if not queue.last_quarantined:
-            return
-        telemetry.counter("jobs.quarantined").inc(
-            len(queue.last_quarantined)
-        )
-        if registry.enabled:
-            registry.counter(
-                "repro_records_quarantined_total",
+        if queue.last_quarantined:
+            _count(
+                registry, worker_name, "repro_records_quarantined_total",
                 "Torn/tampered queue records moved to corrupt/",
-                labels=("worker",),
-            ).labels(worker=worker_name).inc(
-                len(queue.last_quarantined)
+                len(queue.last_quarantined),
             )
 
     processed = 0
@@ -279,23 +282,17 @@ def worker_loop(
         while True:
             requeued = queue.requeue_stale()
             count_quarantined()
-            if registry.enabled and (
-                requeued or queue.last_requeue_failed
-            ):
-                if requeued:
-                    registry.counter(
-                        "repro_jobs_requeued_total",
-                        "Stale claims returned to pending",
-                        labels=("worker",),
-                    ).labels(worker=worker_name).inc(len(requeued))
-                if queue.last_requeue_failed:
-                    registry.counter(
-                        "repro_jobs_failed_out_total",
-                        "Jobs that exhausted max_attempts on requeue",
-                        labels=("worker",),
-                    ).labels(worker=worker_name).inc(
-                        len(queue.last_requeue_failed)
-                    )
+            if requeued:
+                _count(
+                    registry, worker_name, "repro_jobs_requeued_total",
+                    "Stale claims returned to pending", len(requeued),
+                )
+            if queue.last_requeue_failed:
+                _count(
+                    registry, worker_name, "repro_jobs_failed_out_total",
+                    "Jobs that exhausted max_attempts on requeue",
+                    len(queue.last_requeue_failed),
+                )
             if registry.enabled:
                 claim_started = time.perf_counter()
             record = queue.claim(owner=worker_name)
@@ -315,16 +312,12 @@ def worker_loop(
                     beat()
                 time.sleep(poll_interval_s)
                 continue
-            if registry.enabled:
-                registry.counter(
-                    "repro_job_attempts_total",
-                    "Claims processed (retries of one job each count)",
-                    labels=("worker",),
-                ).labels(worker=worker_name).inc()
-            in_flight["job_id"] = record["job_id"]
-            _process_one(
-                record, queue, cache, telemetry, worker_name, registry
+            _count(
+                registry, worker_name, "repro_job_attempts_total",
+                "Claims processed (retries of one job each count)",
             )
+            in_flight["job_id"] = record["job_id"]
+            _process_one(record, queue, cache, worker_name, registry)
             in_flight["job_id"] = None
             processed += 1
             if registry.enabled:
@@ -334,13 +327,10 @@ def worker_loop(
     except GracefulShutdown:
         job_id = in_flight["job_id"]
         if job_id is not None and queue.release(job_id):
-            telemetry.counter("jobs.released").inc()
-            if registry.enabled:
-                registry.counter(
-                    "repro_jobs_released_total",
-                    "In-flight jobs released on graceful shutdown",
-                    labels=("worker",),
-                ).labels(worker=worker_name).inc()
+            _count(
+                registry, worker_name, "repro_jobs_released_total",
+                "In-flight jobs released on graceful shutdown",
+            )
         count_quarantined()
     finally:
         if handle_signals:
@@ -352,23 +342,18 @@ def worker_loop(
         if registry.enabled:
             beat(force=True)
             set_current_metrics(previous_ambient)
-    snapshot = telemetry.snapshot()
-    snapshot["worker"] = worker_name
-    snapshot["processed"] = processed
-    return snapshot
+    return {"worker": worker_name, "processed": processed}
 
 
 def _process_one(
     record: Dict,
     queue: JobQueue,
     cache: ResultCache,
-    telemetry: TelemetryRegistry,
     worker_name: str,
     registry: object = NULL_METRICS,
 ) -> None:
     job_id = record["job_id"]
     started = time.time()
-    job_telemetry = TelemetryRegistry()
     failpoints = current_failpoints()
     try:
         if failpoints.enabled:
@@ -383,21 +368,15 @@ def _process_one(
             if problem is not None:
                 cache.quarantine(key, problem)
                 cached = None
-                telemetry.counter("jobs.cache_corrupt").inc()
-                if registry.enabled:
-                    registry.counter(
-                        "repro_cache_corrupt_total",
-                        "Cached payloads quarantined at hit time",
-                        labels=("worker",),
-                    ).labels(worker=worker_name).inc()
+                _count(
+                    registry, worker_name, "repro_cache_corrupt_total",
+                    "Cached payloads quarantined at hit time",
+                )
         if cached is not None:
-            telemetry.counter("jobs.cache_hits").inc()
-            if registry.enabled:
-                registry.counter(
-                    "repro_cache_hits_total",
-                    "Jobs answered from the result cache",
-                    labels=("worker",),
-                ).labels(worker=worker_name).inc()
+            _count(
+                registry, worker_name, "repro_cache_hits_total",
+                "Jobs answered from the result cache",
+            )
             payload = json.loads(cached.decode("ascii"))
             outcome = {
                 "status": "done",
@@ -408,53 +387,31 @@ def _process_one(
                 "wall_s": time.time() - started,
             }
         else:
-            telemetry.counter("jobs.cache_misses").inc()
-            if registry.enabled:
-                registry.counter(
-                    "repro_cache_misses_total",
-                    "Jobs that had to be simulated",
-                    labels=("worker",),
-                ).labels(worker=worker_name).inc()
-
-            def on_chunk(progress):
-                job_telemetry.counter("replay.chunks").inc()
-                job_telemetry.stats("replay.chunk_mean_response_ms").add(
-                    progress.chunk.mean_response_ms
-                )
-
-            payload, stats = run_job(spec, on_chunk=on_chunk)
-            cache.put(key, result_payload_bytes(payload))
-            wall = time.time() - started
-            job_telemetry.counter("replay.requests").inc(
-                stats["completed"]
+            _count(
+                registry, worker_name, "repro_cache_misses_total",
+                "Jobs that had to be simulated",
             )
-            job_telemetry.stats("job.wall_s").add(wall)
+            payload, stats = run_job(spec)
+            cache.put(key, result_payload_bytes(payload))
             outcome = {
                 "status": "done",
                 "cached": False,
                 "cache_key": key,
                 "figures_sha256": payload["figures_sha256"],
                 "worker": worker_name,
-                "wall_s": wall,
+                "wall_s": time.time() - started,
                 "requests": stats["completed"],
                 "chunks": stats["chunks"],
-                "telemetry": job_telemetry.snapshot(),
             }
         if failpoints.enabled:
             failpoints.hit("service.job.before_ack")
-        _ack_safely(
-            queue, telemetry, job_id, outcome, "done",
-            registry=registry, worker_name=worker_name,
+        _ack_safely(queue, job_id, outcome, "done", registry, worker_name)
+        _count(
+            registry, worker_name, "repro_jobs_completed_total",
+            "Jobs acked done (cache hits included)",
         )
-        telemetry.counter("jobs.completed").inc()
-        wall = time.time() - started
-        telemetry.stats("job.wall_s").add(wall)
         if registry.enabled:
-            registry.counter(
-                "repro_jobs_completed_total",
-                "Jobs acked done (cache hits included)",
-                labels=("worker",),
-            ).labels(worker=worker_name).inc()
+            wall = time.time() - started
             registry.histogram(
                 "repro_job_wall_ms",
                 "Wall-clock time from claim to ack",
@@ -464,32 +421,21 @@ def _process_one(
                 cached="yes" if outcome["cached"] else "no",
             ).observe(wall * 1000.0)
     except Exception as error:  # noqa: BLE001 - worker must survive jobs
-        telemetry.counter("jobs.errors").inc()
-        if registry.enabled:
-            registry.counter(
-                "repro_jobs_failed_total",
-                "Jobs acked failed (the worker survived)",
-                labels=("worker",),
-            ).labels(worker=worker_name).inc()
-        _ack_safely(
-            queue,
-            telemetry,
-            job_id,
-            {
-                "status": "failed",
-                "error": f"{type(error).__name__}: {error}",
-                "worker": worker_name,
-                "wall_s": time.time() - started,
-            },
-            "failed",
-            registry=registry,
-            worker_name=worker_name,
+        _count(
+            registry, worker_name, "repro_jobs_failed_total",
+            "Jobs acked failed (the worker survived)",
         )
+        outcome = {
+            "status": "failed",
+            "error": f"{type(error).__name__}: {error}",
+            "worker": worker_name,
+            "wall_s": time.time() - started,
+        }
+        _ack_safely(queue, job_id, outcome, "failed", registry, worker_name)
 
 
 def _ack_safely(
-    queue, telemetry, job_id, outcome, state,
-    registry: object = NULL_METRICS, worker_name: str = "",
+    queue, job_id, outcome, state, registry, worker_name: str
 ) -> None:
     """Ack, tolerating a lease lost to requeue while the job ran.
 
@@ -501,13 +447,10 @@ def _ack_safely(
     try:
         queue.ack(job_id, outcome, state=state)
     except ValueError:
-        telemetry.counter("jobs.lost_leases").inc()
-        if registry.enabled:
-            registry.counter(
-                "repro_jobs_lost_leases_total",
-                "Acks dropped because the lease was re-claimed",
-                labels=("worker",),
-            ).labels(worker=worker_name).inc()
+        _count(
+            registry, worker_name, "repro_jobs_lost_leases_total",
+            "Acks dropped because the lease was re-claimed",
+        )
 
 
 def serve(

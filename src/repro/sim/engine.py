@@ -642,7 +642,7 @@ class Environment:
         except _StopSignal as signal:
             return signal.value
         finally:
-            self._record_run_telemetry(eid_at_entry)
+            self._record_run_telemetry(self._eid - eid_at_entry)
         return None
 
     def run_bounded(self, bound: float) -> int:
@@ -708,7 +708,7 @@ class Environment:
                 raise event._value
         return fired
 
-    def _record_run_telemetry(self, eid_at_entry: int) -> None:
+    def _record_run_telemetry(self, events: int) -> None:
         """Engine-level counters for an enabled tracer (no-op otherwise)."""
         tracer = self.tracer
         if tracer is None:
@@ -718,9 +718,9 @@ class Environment:
         if not tracer.enabled:
             return
         telemetry = tracer.telemetry
-        telemetry.counter("engine.runs").inc()
-        telemetry.counter("engine.events").inc(self._eid - eid_at_entry)
-        telemetry.gauge("engine.sim_time_ms").set(self._now)
+        telemetry.counter("repro_engine_runs_total").inc()
+        telemetry.counter("repro_engine_events_total").inc(events)
+        telemetry.gauge("repro_engine_sim_time_ms").set(self._now)
 
 
 class _StopSignal(Exception):

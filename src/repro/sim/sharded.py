@@ -757,64 +757,53 @@ class ShardedEngine:
         # high-water mark so run elapsed time (and power residency)
         # match the serial kernel bit for bit.
         env._now = max(env._now, final_now)
-        if tracer.enabled:
-            telemetry = tracer.telemetry
-            # The engine-level counters a serial env.run() would have
-            # recorded, with shard-side events folded in.
-            telemetry.counter("engine.runs").inc()
-            telemetry.counter("engine.events").inc(
-                (env._eid - self._eid_at_entry) + sum(self.shard_events)
-            )
-            telemetry.gauge("engine.sim_time_ms").set(env._now)
-            telemetry.gauge("shards.count").set(self.shards)
-            telemetry.gauge("shards.lookahead_ms").set(self.lookahead)
-            telemetry.counter("shards.windows").inc(self.windows)
-            telemetry.stats("shards.window_stall_ms").add(
-                self.window_stall_ms
-            )
-            total_events = sum(self.shard_events) or 1
-            for shard, events in enumerate(self.shard_events):
-                telemetry.counter(f"shards.shard{shard}.events").inc(
-                    events
-                )
-                telemetry.stats("shards.utilization").add(
-                    events / total_events
-                )
-        metrics = self._metrics
-        if metrics.enabled:
-            metrics.counter(
+        # The engine-level counters a serial env.run() would have
+        # recorded, with shard-side events folded in.
+        env._record_run_telemetry(
+            (env._eid - self._eid_at_entry) + sum(self.shard_events)
+        )
+        total_events = sum(self.shard_events) or 1
+        for registry in (tracer.telemetry, self._metrics):
+            if not registry.enabled:
+                continue
+            registry.counter(
                 "repro_shard_windows_total",
                 "Synchronization windows executed",
             ).inc(self.windows)
-            metrics.counter(
-                "repro_shard_stall_ms_total",
-                "Total wall-clock lookahead wait across windows",
-            ).inc(self.window_stall_ms)
-            metrics.gauge(
+            registry.summary(
+                "repro_shard_stall_ms",
+                "Wall-clock lookahead wait of one sharded run",
+            ).observe(self.window_stall_ms)
+            registry.gauge(
                 "repro_shard_count", "Shards in the last sharded run"
             ).set(self.shards)
-            metrics.gauge(
+            registry.gauge(
                 "repro_shard_lookahead_ms",
                 "Provable lookahead of the last sharded run (sim ms)",
             ).set(self.lookahead)
-            mode = metrics.gauge(
+            mode = registry.gauge(
                 "repro_shard_mode",
                 "1 for the synchronization mode of the last run",
                 labels=("mode",),
             )
             mode.labels(mode="lockstep").set(1 if self.lockstep else 0)
             mode.labels(mode="runahead").set(0 if self.lockstep else 1)
-            metrics.gauge(
+            registry.gauge(
                 "repro_shard_backlog_peak",
                 "Peak merged-completion backlog (scheduled, unfired)",
             ).set(self.backlog_peak)
-            events_total = metrics.counter(
+            events_total = registry.counter(
                 "repro_shard_events_total",
                 "Events executed inside shard workers",
                 labels=("shard",),
             )
+            utilization = registry.summary(
+                "repro_shard_utilization",
+                "Each shard's share of the run's shard events",
+            )
             for shard, events in enumerate(self.shard_events):
                 events_total.labels(shard=shard).inc(events)
+                utilization.observe(events / total_events)
 
     def _recv(self, conn: Any, shard: int) -> Tuple:
         try:

@@ -40,9 +40,10 @@ class TraceProfile:
     #: 1 MB regions (hot-region concentration).
     hot10_fraction: float
 
-    def summary_lines(self) -> List[str]:
+    def describe(self) -> str:
+        """The profile as aligned ``key : value`` lines."""
         total_footprint = sum(self.footprint_mb_by_disk.values())
-        return [
+        return "\n".join([
             f"trace            : {self.name}",
             f"requests         : {self.requests}"
             f" over {self.duration_ms / 1000.0:.1f} s",
@@ -56,7 +57,7 @@ class TraceProfile:
             f"{len(self.footprint_mb_by_disk)} disk(s)",
             f"hot concentration: busiest 10% of regions take "
             f"{self.hot10_fraction:.0%} of requests",
-        ]
+        ])
 
 
 _REGION_SECTORS = 2048  # 1 MB regions

@@ -30,6 +30,46 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fig3", "--workers", "-1"], "--workers: must be >= 0"),
+            (["fig3", "--requests", "0"], "--requests: must be >= 1"),
+            (["fig3", "--shards", "0"], "--shards: must be >= 1"),
+            (["trace", "limit_study", "--workers", "-2"],
+             "--workers: must be >= 0"),
+            (["report", "limit_study", "--requests", "0"],
+             "--requests: must be >= 1"),
+            (["fig3", "--requests", "many"], "invalid int value"),
+        ],
+    )
+    def test_out_of_range_numbers_are_usage_errors(
+        self, argv, message, capsys
+    ):
+        with pytest.raises(SystemExit) as stop:
+            build_parser().parse_args(argv)
+        assert stop.value.code == 2
+        (error,) = [
+            line for line in capsys.readouterr().err.splitlines()
+            if "error:" in line
+        ]
+        assert message in error
+
+    @pytest.mark.parametrize(
+        "command, default",
+        [("fig3", 4000), ("bench", 6000), ("profile", 2000),
+         ("faults", 2000)],
+    )
+    def test_requests_help_shows_the_command_default(
+        self, command, default, capsys
+    ):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert f"requests per simulation run (default {default})" in (
+            help_text
+        )
+
 
 class TestCommands:
     def test_list(self, capsys):

@@ -279,10 +279,11 @@ class TestObservability:
             )
             env.run()
         counter = tracer.telemetry.counter
-        assert counter("faults.injected.transient").value == 1
-        assert counter("faults.injected.arm_failure").value == 1
-        assert counter("faults.armed").value == 1
-        assert counter("arms.deconfigured").value == 1
+        injected = counter("repro_faults_injected_total", labels=("kind",))
+        assert injected.labels(kind="transient").value == 1
+        assert injected.labels(kind="arm_failure").value == 1
+        assert counter("repro_faults_armed_total").value == 1
+        assert counter("repro_arms_deconfigured_total").value == 1
         instants = [s.name for s in tracer.spans if s.is_instant]
         assert "fault-transient" in instants
         assert "arm-deconfigured" in instants

@@ -16,8 +16,8 @@ def traced_job(tag, count):
         tracer.span(
             "work", "transfer", float(index), 1.0, (tag, "worker")
         )
-    tracer.telemetry.counter("jobs.completed").inc()
-    tracer.telemetry.stats("job.count").add(count)
+    tracer.telemetry.counter("repro_jobs_completed_total").inc()
+    tracer.telemetry.summary("repro_job_count").observe(count)
     return f"{tag}:{count}"
 
 
@@ -34,7 +34,8 @@ class TestWorkerTelemetryMerge:
             results = sweep(JOBS, n_workers=1)
         assert results == ["alpha:3", "beta:2", "gamma:4"]
         assert len(tracer.spans) == 9
-        assert tracer.telemetry.counter("jobs.completed").value == 3
+        completed = tracer.telemetry.counter("repro_jobs_completed_total")
+        assert completed.value == 3
 
     def test_parallel_sweep_merges_in_job_order(self):
         with tracing() as tracer:
@@ -44,10 +45,12 @@ class TestWorkerTelemetryMerge:
         # Merge follows job order, not completion order.
         processes = [process for process, _ in tracer.tracks()]
         assert processes == ["alpha", "beta", "gamma"]
-        snapshot = tracer.telemetry.snapshot()
-        assert snapshot["counters"]["jobs.completed"] == 3
-        assert snapshot["stats"]["job.count"]["count"] == 3
-        assert snapshot["stats"]["job.count"]["total"] == 9
+        families = tracer.telemetry.snapshot()["families"]
+        (completed,) = families["repro_jobs_completed_total"]["series"]
+        assert completed["value"] == 3
+        (count,) = families["repro_job_count"]["series"]
+        assert count["count"] == 3
+        assert count["sum"] == 9
 
     def test_parallel_matches_serial_telemetry(self):
         with tracing() as serial:
@@ -58,6 +61,21 @@ class TestWorkerTelemetryMerge:
         assert [s.to_tuple() for s in parallel.spans] == [
             s.to_tuple() for s in serial.spans
         ]
+
+    def test_traced_study_telemetry_identical_for_any_worker_count(self):
+        # Per-run summaries (repro_run_elapsed_ms, ...) merge through
+        # the same per-job registries in-process and across workers,
+        # so even their float means agree to the last bit.
+        from repro.obs.run import trace_experiment
+
+        serial = trace_experiment("limit_study", requests=120, n_workers=1)
+        parallel = trace_experiment(
+            "limit_study", requests=120, n_workers=2
+        )
+        assert (
+            parallel.tracer.telemetry.snapshot()
+            == serial.tracer.telemetry.snapshot()
+        )
 
     def test_untraced_parallel_sweep_untouched(self):
         results = sweep(JOBS, n_workers=2)

@@ -21,7 +21,7 @@ def sample_tracer():
     )
     tracer.span("seek", "seek", 2.0, 0.5, ("drive-b", "arm 1"))
     tracer.instant("arm-select", 2.0, ("drive-a", "arm 0"))
-    tracer.telemetry.counter("cache.read_hits").inc(4)
+    tracer.telemetry.counter("repro_drive_cache_read_hits_total").inc(4)
     return tracer
 
 
@@ -84,7 +84,9 @@ class TestChromeTrace:
         trace = to_chrome_trace(sample_tracer())
         other = trace["otherData"]
         assert other["generator"] == "repro.obs"
-        assert other["telemetry"]["counters"]["cache.read_hits"] == 4
+        families = other["telemetry"]["families"]
+        (hits,) = families["repro_drive_cache_read_hits_total"]["series"]
+        assert hits["value"] == 4
         assert other["dropped_spans"] == 0
 
     def test_write_round_trips(self, tmp_path):

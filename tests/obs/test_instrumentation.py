@@ -77,9 +77,9 @@ class TestDriveSpans:
             )
             run_requests(env, drive, [first, second])
         assert tracer.spans_by_category().get("cache", 0) >= 1
-        counters = tracer.telemetry.snapshot()["counters"]
-        assert counters.get("cache.read_hits", 0) >= 1
-        assert counters.get("cache.read_misses", 0) >= 1
+        counter = tracer.telemetry.counter
+        assert counter("repro_drive_cache_read_hits_total").value >= 1
+        assert counter("repro_drive_cache_read_misses_total").value >= 1
 
     def test_untraced_drive_records_nothing(self, tiny_spec):
         env = Environment()
@@ -115,13 +115,10 @@ class TestParallelDiskSpans:
         assert {"req", "arm", "seek_ms", "rotation_ms"} <= set(
             selects[0].args
         )
-        counters = tracer.telemetry.snapshot()["counters"]
-        selected = sum(
-            value
-            for name, value in counters.items()
-            if name.startswith("arms.selected.")
+        selections = tracer.telemetry.counter(
+            "repro_arm_selections_total", labels=("arm",)
         )
-        assert selected == 12
+        assert sum(child.value for _, child in selections.series()) == 12
 
 
 class TestArraySpans:
@@ -182,10 +179,13 @@ class TestArraySpans:
         assert "degraded-map" in names
         assert "reconstruct" in names
         assert "rebuild-write" in names
-        snapshot = tracer.telemetry.snapshot()
-        assert snapshot["counters"]["array.degraded_requests"] >= 1
-        assert snapshot["counters"]["rebuild.rows"] > 0
-        assert snapshot["gauges"]["rebuild.progress"] == pytest.approx(1.0)
+        telemetry = tracer.telemetry
+        assert telemetry.counter(
+            "repro_array_degraded_requests_total"
+        ).value >= 1
+        assert telemetry.counter("repro_rebuild_rows_total").value > 0
+        progress = telemetry.gauge("repro_rebuild_progress").value
+        assert progress == pytest.approx(1.0)
 
 
 class TestScopedRuns:

@@ -10,6 +10,8 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS_MS,
@@ -29,6 +31,36 @@ from repro.obs.metrics import (
     write_prometheus,
     write_worker_snapshot,
 )
+from repro.sim.stats import OnlineStats
+
+
+def valid_snapshot():
+    """One family of each kind; sorted, ``repro_wall_ms`` merges last."""
+    registry = MetricsRegistry()
+    registry.counter(
+        "repro_jobs_total", labels=("worker",)
+    ).labels(worker="w0").inc(2)
+    registry.gauge("repro_depth").set(4)
+    registry.histogram("repro_wall_ms", buckets=(1.0, 10.0)).observe(3.0)
+    registry.summary("repro_elapsed_ms").observe(5.0)
+    return registry.snapshot()
+
+
+def filled_registry():
+    registry = MetricsRegistry()
+    registry.merge_snapshot(valid_snapshot())
+    return registry
+
+
+def replace(snapshot, path, value):
+    """``snapshot`` with the part at ``path`` set to ``value``."""
+    if not path:
+        return value
+    node = snapshot
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return snapshot
 
 
 class TestPrimitives:
@@ -76,6 +108,17 @@ class TestPrimitives:
             registry.histogram(
                 "repro_inf_ms", buckets=(1.0, float("inf"))
             )
+
+    def test_summary_is_online_stats(self):
+        registry = MetricsRegistry()
+        summary = registry.summary("repro_elapsed_ms").labels()
+        for value in (2.0, 4.0, 9.0):
+            summary.observe(value)
+        assert isinstance(summary, OnlineStats)
+        assert (summary.count, summary.total) == (3, 15.0)
+        assert (summary.minimum, summary.maximum) == (2.0, 9.0)
+        assert summary.mean == pytest.approx(5.0)
+        assert summary.variance == pytest.approx(13.0)
 
     def test_default_latency_buckets_strictly_increasing(self):
         bounds = DEFAULT_LATENCY_BUCKETS_MS
@@ -144,6 +187,7 @@ class TestSnapshot:
         registry.histogram(
             "repro_wall_ms", "Wall", buckets=(1.0, 10.0)
         ).observe(3.0)
+        registry.summary("repro_elapsed_ms", "Elapsed").observe(5.0)
         return registry
 
     def test_snapshot_is_deterministic(self):
@@ -191,8 +235,32 @@ class TestSnapshot:
         bad["families"]["repro_wall_ms"]["series"][0]["counts"] = [
             0, 1, 0, 0
         ]
-        with pytest.raises(ValueError):
+        before = target.snapshot()
+        with pytest.raises(ValueError, match="repro_wall_ms"):
             target.merge_snapshot(bad)
+        assert target.snapshot() == before
+
+    def test_merge_summary_exact(self):
+        left, right, serial = (
+            MetricsRegistry(), MetricsRegistry(), MetricsRegistry()
+        )
+        for part, values in ((left, (1.0, 2.0, 7.0)), (right, (4.0, 100.0))):
+            for value in values:
+                part.summary("repro_lat_ms").observe(value)
+                serial.summary("repro_lat_ms").observe(value)
+        left.merge_snapshot(json.loads(json.dumps(right.snapshot())))
+        merged = left.summary("repro_lat_ms").labels()
+        expected = serial.summary("repro_lat_ms").labels()
+        assert (merged.count, merged.total) == (expected.count, expected.total)
+        assert (merged.minimum, merged.maximum) == (1.0, 100.0)
+        assert merged.mean == pytest.approx(expected.mean)
+        assert merged.variance == pytest.approx(expected.variance)
+
+    def test_merge_into_empty_registry(self):
+        source = self.build()
+        empty = MetricsRegistry()
+        empty.merge_snapshot(source.snapshot())
+        assert empty.snapshot() == source.snapshot()
 
 
 class TestPrometheus:
@@ -222,6 +290,25 @@ class TestPrometheus:
         assert 'repro_wall_ms_bucket{le="+Inf"} 1' in text
         assert "repro_wall_ms_sum 3" in text
         assert "repro_wall_ms_count 1" in text
+
+    def test_render_summary_exposition(self):
+        registry = MetricsRegistry()
+        elapsed = registry.summary("repro_elapsed_ms", labels=("mode",))
+        elapsed.labels(mode="memory").observe(2.0)
+        elapsed.labels(mode="memory").observe(6.0)
+        registry.summary("repro_empty_ms").labels()
+        text = render_prometheus(registry)
+        assert "# TYPE repro_elapsed_ms summary" in text
+        parsed = parse_prometheus(text)
+        mode = (("mode", "memory"),)
+        # The 0- and 1-quantiles are the minimum and the maximum.
+        assert parsed[("repro_elapsed_ms", mode + (("quantile", "0"),))] == 2
+        assert parsed[("repro_elapsed_ms", mode + (("quantile", "1"),))] == 6
+        assert parsed[("repro_elapsed_ms_sum", mode)] == 8.0
+        assert parsed[("repro_elapsed_ms_count", mode)] == 2.0
+        # An empty summary has a zero count and no quantiles.
+        assert parsed[("repro_empty_ms_count", ())] == 0.0
+        assert ("repro_empty_ms", (("quantile", "0"),)) not in parsed
 
     def test_label_values_escaped(self):
         registry = MetricsRegistry()
@@ -272,6 +359,7 @@ class TestNullMetrics:
         family = NULL_METRICS.counter("repro_x_total", labels=("a",))
         assert family is NULL_METRICS
         assert family.labels(a="1") is NULL_METRICS
+        assert NULL_METRICS.summary("repro_y_ms") is NULL_METRICS
         NULL_METRICS.inc()
         NULL_METRICS.set(3)
         NULL_METRICS.observe(1.0)
@@ -347,6 +435,40 @@ class TestWorkerSnapshots:
             handle.write("ignored")
         assert len(load_worker_snapshots(tmp_path)) == 1
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("metrics", {"schema": METRICS_SCHEMA, "families": []}),
+            ("metrics", replace(
+                valid_snapshot(), ("families", "repro_depth", "kind"), "bogus"
+            )),
+            ("metrics", replace(
+                valid_snapshot(),
+                ("families", "repro_depth", "series", 0, "value"), "4",
+            )),
+            ("metrics", "not a snapshot"),
+            ("written_at", "yesterday"),
+        ],
+    )
+    def test_load_skips_malformed_files(self, tmp_path, field, value):
+        os.makedirs(metrics_dir(tmp_path))
+        write_worker_snapshot(
+            tmp_path, "worker-0", self.fill("worker-0"), pid=1
+        )
+        bad = {
+            "schema": METRICS_SCHEMA, "worker": "bad", "pid": 2,
+            "written_at": 1.0, "metrics": valid_snapshot(),
+        }
+        bad[field] = value
+        with open(
+            os.path.join(metrics_dir(tmp_path), "bad-2.json"), "w"
+        ) as handle:
+            json.dump(bad, handle)
+        payloads = load_worker_snapshots(tmp_path)
+        assert [payload["worker"] for payload in payloads] == ["worker-0"]
+        registry, workers = merge_worker_snapshots(tmp_path)
+        assert [meta["worker"] for meta in workers] == ["worker-0"]
+
     def test_missing_dir_is_empty(self, tmp_path):
         assert load_worker_snapshots(tmp_path / "nope") == []
 
@@ -387,3 +509,117 @@ class TestWorkerSnapshots:
         )
         assert completed.labels(worker="worker-0").value == 2.0
         assert len(workers) == 2
+
+
+SERIES = ("series", 0)
+
+#: Malformed snapshots: the path into :func:`valid_snapshot` replaced,
+#: and its new value.  ``path[1]`` is the family the error must name.
+HOSTILE = {
+    "not a dict": ((), [valid_snapshot()]),
+    "families not a dict": (("families",), []),
+    "unknown kind": (("families", "repro_depth", "kind"), "bogus"),
+    "invalid metric name": (
+        ("families", "bad name"),
+        {"kind": "gauge", "series": [{"labels": {}, "value": 1.0}]},
+    ),
+    "invalid label name": (
+        ("families", "repro_jobs_total", "labels"), ["0bad"]
+    ),
+    "string value": (("families", "repro_depth") + SERIES + ("value",), "4"),
+    "bool value": (
+        ("families", "repro_jobs_total") + SERIES + ("value",), True
+    ),
+    "int beyond float range": (
+        ("families", "repro_depth") + SERIES + ("value",), 10 ** 400
+    ),
+    "negative counter": (
+        ("families", "repro_jobs_total") + SERIES + ("value",), -1.0
+    ),
+    "series not a dict": (("families", "repro_depth") + SERIES, 4.0),
+    "series labels mismatch": (
+        ("families", "repro_jobs_total") + SERIES + ("labels",),
+        {"host": "w0"},
+    ),
+    "summary field not a number": (
+        ("families", "repro_elapsed_ms") + SERIES + ("m2",), "0"
+    ),
+    "bucket counts mismatch": (
+        ("families", "repro_wall_ms") + SERIES + ("counts",), [0, 1]
+    ),
+}
+
+
+class TestHostileSnapshots:
+    """``merge_snapshot`` is the one merge for sweep payloads, trace
+    files and serve worker files: a malformed snapshot raises
+    ``ValueError`` naming the family and changes nothing."""
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE))
+    def test_rejected_whole(self, case):
+        path, value = HOSTILE[case]
+        snapshot = replace(valid_snapshot(), path, value)
+        target = filled_registry()
+        before = target.snapshot()
+        with pytest.raises(ValueError) as error:
+            target.merge_snapshot(snapshot)
+        if len(path) > 1:
+            assert repr(path[1]) in str(error.value)
+        assert target.snapshot() == before
+
+    def test_disagreeing_family_rejected_whole(self):
+        snapshot = replace(
+            valid_snapshot(),
+            ("families", "repro_wall_ms"),
+            {"kind": "gauge", "series": [{"labels": {}, "value": 1.0}]},
+        )
+        target = filled_registry()
+        before = target.snapshot()
+        with pytest.raises(ValueError, match="repro_wall_ms"):
+            target.merge_snapshot(snapshot)
+        assert target.snapshot() == before
+
+
+JSON_LIKE = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=12,
+)
+
+
+def _slots(node):
+    """Every ``(container, key)`` pair inside a JSON-like value."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in list(items):
+        yield node, key
+        if isinstance(child, (dict, list)):
+            yield from _slots(child)
+
+
+def _merges_or_rejected_whole(value):
+    target = filled_registry()
+    before = target.snapshot()
+    try:
+        target.merge_snapshot(value)
+    except ValueError:
+        assert target.snapshot() == before
+
+
+class TestMergeProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(value=JSON_LIKE)
+    def test_any_json_like_value(self, value):
+        _merges_or_rejected_whole(value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_valid_snapshot_with_any_part_replaced(self, data):
+        snapshot = valid_snapshot()
+        container, key = data.draw(st.sampled_from(list(_slots(snapshot))))
+        container[key] = data.draw(JSON_LIKE)
+        _merges_or_rejected_whole(snapshot)

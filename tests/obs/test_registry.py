@@ -1,127 +1,123 @@
-"""Tests for the telemetry registry and its snapshot/merge cycle."""
+"""Registry-level behaviour of the one metrics registry: get-or-create
+accessors, fixed histogram bounds, the series count, the snapshot/merge
+cycle the tracer, sweep executor and serve workers share, and the
+disabled ``NULL_METRICS`` registry the null tracer carries."""
 
 import json
 
 import pytest
 
-from repro.obs.registry import NULL_REGISTRY, TelemetryRegistry
+from repro.obs.metrics import (
+    METRICS_SCHEMA,
+    NULL_METRICS,
+    MetricsRegistry,
+    render_prometheus,
+)
+from repro.obs.tracer import NULL_TRACER
+
+EDGES = (1.0, 10.0, 100.0)
 
 
 class TestMetrics:
     def test_counter_get_or_create(self):
-        registry = TelemetryRegistry()
-        registry.counter("hits").inc()
-        registry.counter("hits").inc(2)
-        assert registry.counter("hits").value == 3
+        registry = MetricsRegistry()
+        registry.counter("repro_hits_total").inc()
+        registry.counter("repro_hits_total").inc(2)
+        assert registry.counter("repro_hits_total").value == 3
+        assert len(registry.families()) == 1
 
     def test_counter_rejects_negative(self):
-        with pytest.raises(ValueError, match="negative"):
-            TelemetryRegistry().counter("hits").inc(-1)
+        registry = MetricsRegistry()
+        hits = registry.counter("repro_hits_total", labels=("arm",))
+        with pytest.raises(ValueError, match=">= 0"):
+            hits.labels(arm=0).inc(-1)
+        assert hits.labels(arm=0).value == 0.0
 
     def test_gauge_last_write_wins(self):
-        registry = TelemetryRegistry()
-        registry.gauge("progress").set(0.25)
-        registry.gauge("progress").set(0.75)
-        assert registry.gauge("progress").value == 0.75
-
-    def test_stats_reuses_online_stats(self):
-        registry = TelemetryRegistry()
-        registry.stats("latency").add(2.0)
-        registry.stats("latency").add(4.0)
-        assert registry.stats("latency").mean == pytest.approx(3.0)
+        registry = MetricsRegistry()
+        registry.gauge("repro_progress").set(0.25)
+        registry.gauge("repro_progress").set(0.75)
+        assert registry.gauge("repro_progress").value == 0.75
 
     def test_histogram_needs_edges_on_first_use(self):
-        registry = TelemetryRegistry()
-        with pytest.raises(ValueError, match="edges"):
-            registry.histogram("lat")
-        hist = registry.histogram("lat", [1.0, 10.0, 100.0])
-        hist.add(5.0)
-        assert registry.histogram("lat").total == 1
+        registry = MetricsRegistry()
+        with pytest.raises(ValueError, match="at least one"):
+            registry.histogram("repro_lat_ms", buckets=())
+        assert registry.families() == []
+        registry.histogram("repro_lat_ms", buckets=EDGES).observe(5.0)
+        # The first declaration fixes the edges; later ones must agree.
+        with pytest.raises(ValueError, match="other buckets"):
+            registry.histogram("repro_lat_ms")
+        hist = registry.histogram("repro_lat_ms", buckets=EDGES).labels()
+        assert hist.bounds == EDGES
+        assert hist.count == 1
 
     def test_len_counts_all_kinds(self):
-        registry = TelemetryRegistry()
-        registry.counter("a")
-        registry.gauge("b")
-        registry.stats("c")
-        registry.histogram("d", [1.0])
-        assert len(registry) == 4
+        registry = MetricsRegistry()
+        registry.counter("repro_a_total").inc()
+        registry.gauge("repro_b").set(1.0)
+        registry.summary("repro_c_ms").observe(2.0)
+        registry.histogram("repro_d_ms", buckets=(1.0,)).observe(0.5)
+        assert registry.sample_count() == 4
+        assert [family.kind for family in registry.families()] == [
+            "counter", "gauge", "summary", "histogram"
+        ]
 
 
 class TestSnapshotMerge:
     def filled(self):
-        registry = TelemetryRegistry()
-        registry.counter("events").inc(10)
-        registry.gauge("progress").set(0.5)
+        registry = MetricsRegistry()
+        registry.counter("repro_events_total").inc(10)
+        registry.gauge("repro_progress").set(0.5)
         for value in (1.0, 3.0, 5.0):
-            registry.stats("lat").add(value)
-        registry.histogram("lat_h", [1.0, 10.0]).add(2.0)
+            registry.summary("repro_lat_ms").observe(value)
+        registry.histogram("repro_lat_h_ms", buckets=(1.0, 10.0)).observe(2.0)
         return registry
 
     def test_snapshot_is_json_compatible(self):
         snapshot = self.filled().snapshot()
+        assert snapshot["schema"] == METRICS_SCHEMA
         assert json.loads(json.dumps(snapshot)) == snapshot
 
     def test_merge_counters_add(self):
         left, right = self.filled(), self.filled()
         left.merge_snapshot(right.snapshot())
-        assert left.counter("events").value == 20
+        assert left.counter("repro_events_total").value == 20
 
     def test_merge_gauges_last_write(self):
         left = self.filled()
-        right = TelemetryRegistry()
-        right.gauge("progress").set(1.0)
+        right = MetricsRegistry()
+        right.gauge("repro_progress").set(1.0)
         left.merge_snapshot(right.snapshot())
-        assert left.gauge("progress").value == 1.0
-
-    def test_merge_stats_exact(self):
-        left, right = TelemetryRegistry(), TelemetryRegistry()
-        serial = TelemetryRegistry()
-        for value in (1.0, 2.0, 7.0):
-            left.stats("lat").add(value)
-            serial.stats("lat").add(value)
-        for value in (4.0, 100.0):
-            right.stats("lat").add(value)
-            serial.stats("lat").add(value)
-        left.merge_snapshot(right.snapshot())
-        merged, expected = left.stats("lat"), serial.stats("lat")
-        assert merged.count == expected.count
-        assert merged.mean == pytest.approx(expected.mean)
-        assert merged.variance == pytest.approx(expected.variance)
-        assert merged.minimum == expected.minimum
-        assert merged.maximum == expected.maximum
+        assert left.gauge("repro_progress").value == 1.0
 
     def test_merge_histograms_add(self):
         left, right = self.filled(), self.filled()
         left.merge_snapshot(right.snapshot())
-        assert left.histogram("lat_h").total == 2
+        hist = left.histogram("repro_lat_h_ms", buckets=(1.0, 10.0)).labels()
+        assert hist.count == 2
+        assert hist.bucket_counts == [0, 2, 0]
 
     def test_merge_incompatible_histogram_edges_rejected(self):
         left = self.filled()
+        before = left.snapshot()
         snapshot = self.filled().snapshot()
-        snapshot["histograms"]["lat_h"]["edges"] = [5.0, 50.0]
-        with pytest.raises(ValueError, match="edges"):
+        snapshot["families"]["repro_lat_h_ms"]["buckets"] = [5.0, 50.0]
+        with pytest.raises(ValueError, match="buckets"):
             left.merge_snapshot(snapshot)
-
-    def test_merge_into_empty_registry(self):
-        empty = TelemetryRegistry()
-        empty.merge_snapshot(self.filled().snapshot())
-        assert empty.counter("events").value == 10
-        assert empty.stats("lat").count == 3
-
-    def test_summary_lines_sorted_and_complete(self):
-        lines = self.filled().summary_lines()
-        assert any(line.startswith("counter events") for line in lines)
-        assert any(line.startswith("gauge progress") for line in lines)
-        assert any(line.startswith("stats lat:") for line in lines)
-        assert any(line.startswith("histogram lat_h") for line in lines)
+        assert left.snapshot() == before
 
 
 class TestNullRegistry:
     def test_accepts_everything_stores_nothing(self):
-        NULL_REGISTRY.counter("x").inc()
-        NULL_REGISTRY.gauge("y").set(1.0)
-        NULL_REGISTRY.stats("z").add(2.0)
-        NULL_REGISTRY.histogram("h", [1.0]).add(0.5)
-        assert len(NULL_REGISTRY) == 0
-        assert NULL_REGISTRY.snapshot() == {}
-        assert NULL_REGISTRY.summary_lines() == []
+        assert NULL_TRACER.telemetry is NULL_METRICS
+        NULL_METRICS.counter("repro_x_total").inc()
+        NULL_METRICS.gauge("repro_y").set(1.0)
+        NULL_METRICS.summary("repro_z_ms").observe(2.0)
+        NULL_METRICS.histogram("repro_h_ms", buckets=(1.0,)).observe(0.5)
+        NULL_METRICS.merge_snapshot(TestSnapshotMerge().filled().snapshot())
+        assert NULL_METRICS.sample_count() == 0
+        assert NULL_METRICS.snapshot() == {
+            "schema": METRICS_SCHEMA, "families": {}
+        }
+        assert render_prometheus(NULL_METRICS.snapshot()) == ""

@@ -1,5 +1,8 @@
 """Tests for trace-analysis rendering and the ``repro report`` CLI."""
 
+import json
+import re
+
 import pytest
 
 from repro.cli import main
@@ -7,6 +10,7 @@ from repro.experiments.configs import build_hcsd_system
 from repro.experiments.runner import run_trace
 from repro.obs.analysis import TraceAnalysis, analyze
 from repro.obs.export import read_chrome_trace, write_chrome_trace
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.report import (
     render_html,
     render_text,
@@ -35,18 +39,13 @@ def synthetic_analysis():
         Span("rot", "rotation", 3.0, 4.0, ("d", "arm 0"), {"req": 0}),
         Span("req", "array", 0.0, 7.0, ("d", "io"), None),
     ]
-    return TraceAnalysis(
-        spans,
-        telemetry={
-            "counters": {"runs.completed": 1},
-            "gauges": {"queue.depth": 2.0},
-            "stats": {
-                "run.elapsed_ms": {
-                    "count": 1, "mean": 7.0, "min": 7.0, "max": 7.0
-                }
-            },
-        },
-    )
+    telemetry = MetricsRegistry()
+    telemetry.counter("repro_runs_total", labels=("mode",)).labels(
+        mode="memory"
+    ).inc()
+    telemetry.gauge("repro_queue_depth").set(2.0)
+    telemetry.summary("repro_run_elapsed_ms").observe(7.0)
+    return TraceAnalysis(spans, telemetry=telemetry.snapshot())
 
 
 class TestSections:
@@ -90,9 +89,9 @@ class TestRenderText:
 
     def test_telemetry_rendered(self):
         text = render_text(synthetic_analysis())
-        assert "counter runs.completed = 1" in text
-        assert "gauge queue.depth = 2" in text
-        assert "stats run.elapsed_ms" in text
+        assert 'repro_runs_total{mode="memory"} 1' in text
+        assert "repro_queue_depth 2" in text
+        assert "repro_run_elapsed_ms_count 1" in text
 
     def test_dropped_spans_warning(self):
         analysis = synthetic_analysis()
@@ -154,8 +153,8 @@ class TestChromeRoundTrip:
         path = tmp_path / "trace.json"
         write_chrome_trace(tracer, str(path))
         restored = read_chrome_trace(str(path))
-        counters = restored.telemetry.snapshot()["counters"]
-        assert counters.get("runs.completed") == 1
+        runs = restored.telemetry.counter("repro_runs_total", labels=("mode",))
+        assert runs.labels(mode="memory").value == 1
 
 
 class TestReportCli:
@@ -211,3 +210,49 @@ class TestReportCli:
         bad.write_text("{not json")
         with pytest.raises(SystemExit, match="report:"):
             main(["report", "--from-trace", str(bad)])
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "not an object",
+            "otherData not an object",
+            "old telemetry format",
+            "telemetry not a snapshot",
+            "dropped_spans not an int",
+            "process_name without args",
+            "thread_name without a name",
+        ],
+    )
+    def test_malformed_export_is_one_line_error(
+        self, tmp_path, traced_run, case
+    ):
+        tracer, _ = traced_run
+        path = tmp_path / "trace.json"
+        write_chrome_trace(tracer, str(path))
+        trace = json.loads(path.read_text())
+        other = trace["otherData"]
+        events = trace["traceEvents"]
+        if case == "not an object":
+            trace = [trace]
+        elif case == "otherData not an object":
+            trace["otherData"] = []
+        elif case == "old telemetry format":
+            other["telemetry"] = {"counters": {"x": "a"}}
+        elif case == "telemetry not a snapshot":
+            other["telemetry"] = []
+        elif case == "dropped_spans not an int":
+            other["dropped_spans"] = "none"
+        elif case == "process_name without args":
+            next(e for e in events if e["name"] == "process_name").pop(
+                "args"
+            )
+        else:
+            next(e for e in events if e["name"] == "thread_name")[
+                "args"
+            ].pop("name")
+        path.write_text(json.dumps(trace))
+        where = re.escape(str(path))
+        with pytest.raises(ValueError, match=f"^{where}: "):
+            read_chrome_trace(str(path))
+        with pytest.raises(SystemExit, match=f"^report: {where}: "):
+            main(["report", "--from-trace", str(path)])

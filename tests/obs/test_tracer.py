@@ -4,6 +4,7 @@ import pickle
 
 import pytest
 
+from repro.obs.metrics import NULL_METRICS
 from repro.obs.tracer import (
     NULL_TRACER,
     PHASES,
@@ -89,21 +90,24 @@ class TestTracer:
         worker = Tracer()
         worker.span("seek", "seek", 0, 1, ("d", "arm 0"), args={"req": 1})
         worker.instant("mark", 2, ("d", "arm 0"))
-        worker.telemetry.counter("cache.read_hits").inc(3)
-        worker.telemetry.stats("run.elapsed_ms").add(10.0)
+        worker.telemetry.counter("repro_drive_cache_read_hits_total").inc(3)
+        worker.telemetry.summary("repro_run_elapsed_ms").observe(10.0)
         payload = pickle.loads(pickle.dumps(worker.payload()))
 
         parent = Tracer()
-        parent.telemetry.counter("cache.read_hits").inc(2)
+        parent.telemetry.counter("repro_drive_cache_read_hits_total").inc(2)
         parent.merge_payload(payload)
         assert len(parent.spans) == 2
         assert parent.spans[0].args == {"req": 1}
-        assert parent.telemetry.counter("cache.read_hits").value == 5
-        assert parent.telemetry.stats("run.elapsed_ms").count == 1
+        hits = parent.telemetry.counter("repro_drive_cache_read_hits_total")
+        assert hits.value == 5
+        elapsed = parent.telemetry.summary("repro_run_elapsed_ms").labels()
+        assert elapsed.count == 1
 
     def test_merge_payload_accumulates_drops(self):
         parent = Tracer()
-        parent.merge_payload({"spans": [], "telemetry": {},
+        parent.merge_payload({"spans": [],
+                              "telemetry": NULL_METRICS.snapshot(),
                               "dropped_spans": 4})
         assert parent.dropped_spans == 4
 
@@ -113,7 +117,7 @@ class TestTracer:
         tracer.telemetry.counter("x").inc()
         tracer.clear()
         assert tracer.spans == []
-        assert len(tracer.telemetry) == 0
+        assert tracer.telemetry.sample_count() == 0
 
 
 class TestRingBuffer:
@@ -201,8 +205,9 @@ class TestNullTracer:
         null.instant("i", 0, ("d", "arm 0"))
         with null.scope("run"):
             pass
+        assert null.telemetry is NULL_METRICS
         null.telemetry.counter("x").inc()
-        null.telemetry.stats("y").add(1.0)
+        null.telemetry.summary("y").observe(1.0)
         assert null.spans == []
         assert null.spans_by_category() == {}
         assert null.tracks() == []

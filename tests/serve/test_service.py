@@ -299,16 +299,12 @@ class TestService:
         _, payload = result(q, "job-bad")
         assert payload is None
 
-    def test_worker_telemetry_snapshot(self, tmp_path):
+    def test_worker_loop_returns_name_and_count(self, tmp_path):
         q = tmp_path / "q"
         submit(q, JobSpec(**SMALL))
         submit(q, JobSpec(**SMALL))
-        snapshot = worker_loop(q, drain=True)
-        assert snapshot["processed"] == 2
-        counters = snapshot["counters"]
-        assert counters["jobs.cache_misses"] == 1
-        assert counters["jobs.cache_hits"] == 1
-        assert counters["jobs.completed"] == 2
+        summary = worker_loop(q, drain=True, owner="w0")
+        assert summary == {"worker": "w0", "processed": 2}
 
     def test_max_jobs_bounds_the_loop(self, tmp_path):
         q = tmp_path / "q"

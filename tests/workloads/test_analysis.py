@@ -66,9 +66,9 @@ class TestLocalityMetrics:
         websearch = profile_trace(WEBSEARCH.generate(3000))
         assert tpch.sequential_fraction > websearch.sequential_fraction
 
-    def test_summary_lines_render(self):
+    def test_describe_renders(self):
         profile = profile_trace(WEBSEARCH.generate(500))
-        text = "\n".join(profile.summary_lines())
+        text = profile.describe()
         assert "websearch" in text
         assert "inter-arrival" in text
         assert "footprint" in text
