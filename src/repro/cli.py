@@ -2,7 +2,7 @@
 
 Usage (``python -m repro <command> ...``)::
 
-    python -m repro list                      # available artifacts
+    python -m repro list                      # every command
     python -m repro table1
     python -m repro fig5 --requests 6000
     python -m repro all --requests 2000
@@ -13,7 +13,7 @@ Usage (``python -m repro <command> ...``)::
     python -m repro bench --check BENCH_X.json   # figures-digest gate
     python -m repro profile --top 10          # cProfile the bench pass
     python -m repro trace limit_study --out trace.json   # Perfetto trace
-    python -m repro fig5 --trace fig5.json    # trace any command's runs
+    python -m repro fig5 --trace fig5.json    # trace a study's runs
     python -m repro report limit_study --html report.html   # analytics
     python -m repro report --from-trace trace.json          # post hoc
     python -m repro trace convert in.spc out.trace.gz --sort
@@ -26,220 +26,184 @@ Usage (``python -m repro <command> ...``)::
     python -m repro serve --queue q --drain --metrics m.prom
     python -m repro metrics --queue q         # merged Prometheus snapshot
     python -m repro metrics --queue q --watch # live terminal dashboard
-    python -m repro fig5 --metrics fig5.prom  # meter any command's runs
+    python -m repro fig5 --metrics fig5.prom  # meter a study's runs
     python -m repro chaos --seed 0            # seeded chaos campaign
     python -m repro chaos --scenarios kill,torn-write --report out.json
     python -m repro chaos --validate plan.json   # schema-check a plan
 
-Every command prints the same plain-text tables the benchmark harness
-asserts against.  ``--trace PATH`` records a request-lifecycle trace of
-the command (Chrome trace-event JSON, loadable in ui.perfetto.dev)
-without changing any figure; the dedicated ``trace`` subcommand runs a
-named experiment with richer per-arm instrumentation, and ``report``
-turns a traced run (or a previously exported trace) into utilization,
-queue-depth and bottleneck-attribution analytics.  ``--metrics PATH``
-works the same way for live operational metrics: the command runs under
-an ambient :class:`~repro.obs.metrics.MetricsRegistry` and writes a
-Prometheus text exposition (or a JSONL snapshot for a ``.jsonl`` path)
-on exit, again without changing any figure; the ``metrics`` subcommand
-reads the merged per-worker snapshots of a serve queue, one-shot or as
-a ``--watch`` dashboard.
+The paper's evaluation is seven studies rendered as ten artifacts.
+:data:`STUDIES` names each study's driver, the shared flags it reads
+and one renderer per artifact; the artifact subcommands, ``all`` and
+``results`` are generated from it, and ``all``/``results`` run each
+study once.  Every command takes only the flags its handler reads.
+
+Every artifact command prints the same plain-text tables the benchmark
+harness asserts against.  ``--trace PATH`` (on each command that
+simulates) records a request-lifecycle trace of the command (Chrome
+trace-event JSON, loadable in ui.perfetto.dev) without changing any
+figure; the dedicated ``trace`` subcommand runs a named experiment
+with richer per-arm instrumentation, and ``report`` turns a traced run
+(or a previously exported trace) into utilization, queue-depth and
+bottleneck-attribution analytics.  ``--metrics PATH`` works the same
+way for live operational metrics: the command runs under an ambient
+:class:`~repro.obs.metrics.MetricsRegistry` and writes a Prometheus
+text exposition (or a JSONL snapshot for a ``.jsonl`` path) on exit,
+again without changing any figure; the ``metrics`` subcommand reads
+the merged per-worker snapshots of a serve queue, one-shot or as a
+``--watch`` dashboard.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import importlib
+import math
 import sys
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 __all__ = ["main"]
 
 
-def _table1(args) -> None:
-    from repro.experiments.technology import format_table1
+def _show(*formatters: str) -> Callable:
+    """A renderer printing the study module's ``formatters`` applied to
+    the driver's output, a blank line apart."""
 
-    print(format_table1())
+    def render(module, *outputs) -> None:
+        print("\n\n".join(
+            getattr(module, name)(*outputs) for name in formatters
+        ))
+
+    return render
 
 
-def _table2(args) -> None:
-    from repro.experiments.technology import format_table2
-
-    print(format_table2())
-
-
-def _fig2(args) -> None:
-    from repro.experiments.limit_study import (
-        format_figure2,
-        run_limit_study,
-    )
+def _charts(figure: str, runs_by_workload) -> None:
+    """One ASCII response-time CDF chart per workload."""
     from repro.metrics.cdf import RESPONSE_TIME_EDGES_MS
     from repro.metrics.plot import ascii_chart
 
-    results = run_limit_study(
-        requests=args.requests, n_workers=args.workers,
-        shards=args.shards,
-    )
-    print(format_figure2(results))
     labels = [f"{edge:g}" for edge in RESPONSE_TIME_EDGES_MS] + ["200+"]
-    for name, result in results.items():
+    for name, runs in runs_by_workload:
+        series = [(label, run.response_cdf()) for label, run in runs]
         print()
-        print(
-            ascii_chart(
-                labels,
-                [
-                    ("MD", result.md.response_cdf()),
-                    ("HC-SD", result.hcsd.response_cdf()),
-                ],
-                title=f"Figure 2 [{name}] (chart)",
-            )
-        )
+        print(ascii_chart(labels, series, title=f"{figure} [{name}] (chart)"))
 
 
-def _fig3(args) -> None:
-    from repro.experiments.limit_study import (
-        format_figure3,
-        run_limit_study,
-    )
-
-    print(
-        format_figure3(
-            run_limit_study(
-                requests=args.requests, n_workers=args.workers,
-                shards=args.shards,
-            )
-        )
-    )
+def _fig2(module, results) -> None:
+    print(module.format_figure2(results))
+    _charts("Figure 2", (
+        (name, [("MD", result.md), ("HC-SD", result.hcsd)])
+        for name, result in results.items()
+    ))
 
 
-def _fig4(args) -> None:
-    from repro.experiments.bottleneck import (
-        format_figure4,
-        run_bottleneck_study,
-    )
-
-    print(
-        format_figure4(
-            run_bottleneck_study(
-                requests=args.requests, n_workers=args.workers
-            )
-        )
-    )
-
-
-def _fig5(args) -> None:
-    from repro.experiments.parallel_study import (
-        format_figure5_cdf,
-        format_figure5_pdf,
-        run_parallel_study,
-    )
-
-    from repro.metrics.cdf import RESPONSE_TIME_EDGES_MS
-    from repro.metrics.plot import ascii_chart
-
-    results = run_parallel_study(
-        requests=args.requests, n_workers=args.workers
-    )
-    print(format_figure5_cdf(results))
-    print()
-    print(format_figure5_pdf(results))
-    labels = [f"{edge:g}" for edge in RESPONSE_TIME_EDGES_MS] + ["200+"]
-    for name, result in results.items():
-        series = [
-            (result.label(n), run.response_cdf())
+def _fig5(module, results) -> None:
+    _show("format_figure5_cdf", "format_figure5_pdf")(module, results)
+    _charts("Figure 5", (
+        (name, [
+            (result.label(n), run)
             for n, run in sorted(result.by_actuators.items())
-        ]
-        series.append(("MD", result.md.response_cdf()))
-        print()
-        print(
-            ascii_chart(
-                labels, series, title=f"Figure 5 [{name}] (chart)"
-            )
-        )
+        ] + [("MD", result.md)])
+        for name, result in results.items()
+    ))
 
 
-def _fig6(args) -> None:
-    from repro.experiments.rpm_study import format_figure6, run_rpm_study
+class Study(NamedTuple):
+    """One study of ``repro.experiments``: how to run and render it."""
 
-    print(
-        format_figure6(
-            run_rpm_study(
-                requests=args.requests, n_workers=args.workers,
-                shards=args.shards,
-            )
-        )
-    )
+    #: Attribute of the study module that runs the study, or ``None``
+    #: for tables computed by the renderers themselves.
+    driver: Optional[str]
+    #: Shared flags the driver reads (see :data:`_PARAMETERS`).
+    flags: Tuple[str, ...]
+    #: Artifact name -> renderer(module, *driver outputs).
+    artifacts: Dict[str, Callable]
 
-
-def _fig7(args) -> None:
-    from repro.experiments.rpm_study import format_figure7, run_rpm_study
-
-    print(
-        format_figure7(
-            run_rpm_study(
-                requests=args.requests, n_workers=args.workers,
-                shards=args.shards,
-            )
-        )
-    )
+    @property
+    def command_flags(self) -> Tuple[str, ...]:
+        """The flags of the study's commands: the driver's, plus
+        ``--trace`` and ``--metrics`` when it simulates."""
+        return self.flags + _INSTRUMENT_FLAGS if self.driver else ()
 
 
-def _fig8(args) -> None:
-    from repro.experiments.raid_study import (
-        format_figure8_performance,
-        format_figure8_power,
-        run_raid_study,
-    )
+_DRIVER_FLAGS = ("requests", "workers", "shards")
+_INSTRUMENT_FLAGS = ("trace", "metrics")
 
-    result = run_raid_study(
-        requests=args.requests, n_workers=args.workers,
-        shards=args.shards,
-    )
-    print(format_figure8_performance(result))
-    print()
-    print(format_figure8_power(result))
+#: Study module (under ``repro.experiments``) -> :class:`Study`, in
+#: artifact order.  Modules are imported only when a command runs.
+STUDIES: Dict[str, Study] = {
+    "technology": Study(None, (), {
+        "table1": _show("format_table1"),
+        "table2": _show("format_table2"),
+    }),
+    "limit_study": Study("run_limit_study", _DRIVER_FLAGS, {
+        "fig2": _fig2,
+        "fig3": _show("format_figure3"),
+    }),
+    "bottleneck": Study("run_bottleneck_study", ("requests", "workers"), {
+        "fig4": _show("format_figure4"),
+    }),
+    "parallel_study": Study("run_parallel_study", ("requests", "workers"), {
+        "fig5": _fig5,
+    }),
+    "rpm_study": Study("run_rpm_study", _DRIVER_FLAGS, {
+        "fig6": _show("format_figure6"),
+        "fig7": _show("format_figure7"),
+    }),
+    "raid_study": Study("run_raid_study", _DRIVER_FLAGS, {
+        "fig8": _show("format_figure8_performance", "format_figure8_power"),
+    }),
+    "cost_study": Study(None, (), {
+        "fig9": _show("format_table9a", "format_figure9b"),
+    }),
+}
 
-
-def _fig9(args) -> None:
-    from repro.experiments.cost_study import (
-        format_figure9b,
-        format_table9a,
-    )
-
-    print(format_table9a())
-    print()
-    print(format_figure9b())
-
-
-ARTIFACTS: Dict[str, Callable] = {
-    "table1": _table1,
-    "table2": _table2,
-    "fig2": _fig2,
-    "fig3": _fig3,
-    "fig4": _fig4,
-    "fig5": _fig5,
-    "fig6": _fig6,
-    "fig7": _fig7,
-    "fig8": _fig8,
-    "fig9": _fig9,
+#: Shared flag -> the driver parameter it sets.
+_PARAMETERS = {
+    "requests": "requests", "workers": "n_workers", "shards": "shards",
 }
 
 
+def _run_study(name: str, args) -> Tuple:
+    """Import study ``name`` and run its driver once; returns the module
+    and the driver's outputs (none for a driverless study)."""
+    study = STUDIES[name]
+    module = importlib.import_module(f"repro.experiments.{name}")
+    if study.driver is None:
+        return module, ()
+    kwargs = {_PARAMETERS[flag]: getattr(args, flag) for flag in study.flags}
+    return module, (getattr(module, study.driver)(**kwargs),)
+
+
+def _renders(args) -> Iterator[Tuple[str, Callable[[], None]]]:
+    """(artifact, render) for every artifact, running each study once."""
+    for name, study in STUDIES.items():
+        module, outputs = _run_study(name, args)
+        for artifact, render in study.artifacts.items():
+            yield artifact, functools.partial(render, module, *outputs)
+
+
+def _artifact(study: str, artifact: str, args) -> None:
+    module, outputs = _run_study(study, args)
+    STUDIES[study].artifacts[artifact](module, *outputs)
+
+
 def _all(args) -> None:
-    for name, runner in ARTIFACTS.items():
+    for name, render in _renders(args):
         print("=" * 72)
         print(name)
         print("=" * 72)
-        runner(args)
+        render()
         print()
 
 
 def _list(args) -> None:
-    print("artifacts:", ", ".join(ARTIFACTS))
-    print(
-        "other commands: all, results, report, scorecard, faults, "
-        "chaos, workloads, simulate, bench, trace, serve, submit, "
-        "status, result, metrics, list"
-    )
+    artifacts = [
+        name for study in STUDIES.values() for name in study.artifacts
+    ]
+    print("artifacts:", ", ".join(artifacts))
+    others = [name for name in args.commands if name not in artifacts]
+    print("other commands:", ", ".join(others))
 
 
 def _results(args) -> None:
@@ -248,10 +212,10 @@ def _results(args) -> None:
     import io
 
     sections = []
-    for name, runner in ARTIFACTS.items():
+    for name, render in _renders(args):
         buffer = io.StringIO()
         with contextlib.redirect_stdout(buffer):
-            runner(args)
+            render()
         sections.append((name, buffer.getvalue().rstrip()))
 
     lines = [
@@ -504,10 +468,6 @@ def _report_analysis(args) -> None:
     from repro.obs.analysis import analyze
     from repro.obs.report import render_text, write_html_report
 
-    if bool(args.experiment) == bool(args.from_trace):
-        raise SystemExit(
-            "report: give an experiment to trace OR --from-trace PATH"
-        )
     if args.from_trace:
         from repro.obs.export import read_chrome_trace
 
@@ -520,13 +480,8 @@ def _report_analysis(args) -> None:
         # last-bit wobble instead of failing the exactness check.
         tolerance = 1e-6
     else:
-        from repro.obs.run import TRACEABLE_EXPERIMENTS, trace_experiment
+        from repro.obs.run import trace_experiment
 
-        if args.experiment not in TRACEABLE_EXPERIMENTS:
-            raise SystemExit(
-                f"unknown experiment {args.experiment!r}; choose from "
-                f"{', '.join(sorted(TRACEABLE_EXPERIMENTS))}"
-            )
         run = trace_experiment(
             args.experiment,
             requests=args.requests,
@@ -568,13 +523,10 @@ def _trace_convert(args) -> None:
     """``repro trace convert SRC DST``: trace-format interop."""
     from repro.workloads.formats import convert_trace
 
-    if len(args.paths) != 2:
-        raise SystemExit("trace convert: usage: trace convert SRC DST")
-    src, dst = args.paths
     try:
         summary = convert_trace(
-            src,
-            dst,
+            args.src,
+            args.dst,
             in_format=args.in_format,
             out_format=args.out_format,
             sort=args.sort,
@@ -597,10 +549,8 @@ def _trace_stat(args) -> None:
 
     from repro.workloads.formats import stat_trace
 
-    if len(args.paths) != 1:
-        raise SystemExit("trace stat: usage: trace stat PATH")
     try:
-        summary = stat_trace(args.paths[0], args.in_format)
+        summary = stat_trace(args.path, args.in_format)
     except (OSError, ValueError) as error:
         raise SystemExit(f"trace stat: {error}")
     print(json.dumps(summary, indent=2, sort_keys=True))
@@ -614,25 +564,8 @@ def _trace_stat(args) -> None:
 
 def _trace(args) -> None:
     from repro.obs.export import write_chrome_trace, write_span_jsonl
-    from repro.obs.run import TRACEABLE_EXPERIMENTS, trace_experiment
+    from repro.obs.run import trace_experiment
 
-    if args.experiment == "convert":
-        _trace_convert(args)
-        return
-    if args.experiment == "stat":
-        _trace_stat(args)
-        return
-    if args.paths:
-        raise SystemExit(
-            "trace: extra path arguments only apply to "
-            "'trace convert'/'trace stat'"
-        )
-    if args.experiment not in TRACEABLE_EXPERIMENTS:
-        raise SystemExit(
-            f"unknown experiment {args.experiment!r}; choose from "
-            f"{', '.join(sorted(TRACEABLE_EXPERIMENTS))}, or the "
-            "trace-file tools: convert, stat"
-        )
     run = trace_experiment(
         args.experiment,
         requests=args.requests,
@@ -722,7 +655,7 @@ def _status(args) -> None:
         summary = status(
             args.queue,
             args.job_id,
-            metrics=args.metrics,
+            metrics=args.include_metrics,
             retries=args.retries,
             deadline_s=args.deadline,
         )
@@ -864,27 +797,6 @@ def _simulate(args) -> None:
     )
 
 
-def _add_retry_flags(command) -> None:
-    command.add_argument(
-        "--retries",
-        type=int,
-        default=0,
-        help=(
-            "retry transient queue errors this many times with "
-            "deterministic-jitter exponential backoff (default 0)"
-        ),
-    )
-    command.add_argument(
-        "--deadline",
-        type=float,
-        default=None,
-        help=(
-            "wall-clock budget in seconds for the call including "
-            "retries (default: none)"
-        ),
-    )
-
-
 def _int_at_least(low: int) -> Callable[[str], int]:
     """An argparse ``type``: an int >= ``low``, else a usage error."""
 
@@ -898,9 +810,54 @@ def _int_at_least(low: int) -> Callable[[str], int]:
     return parse
 
 
-def _add_metrics_flag(command) -> None:
-    command.add_argument(
-        "--metrics",
+def _positive_float(text: str) -> float:
+    """An argparse ``type``: a finite float > 0, else a usage error."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
+
+
+_positive_float.__name__ = "float"  # argparse names the type in its errors
+
+#: The flags several commands share; each command adds the ones it
+#: reads with :func:`_add_flags`.
+_SHARED_FLAGS = {
+    "requests": dict(
+        type=_int_at_least(1),
+        default=4000,
+        help="requests per simulation run (default %(default)s)",
+    ),
+    "workers": dict(
+        type=_int_at_least(0),
+        default=1,
+        help=(
+            "worker processes for independent runs (default 1 = "
+            "in-process; 0 = all cores); results are identical for "
+            "any worker count"
+        ),
+    ),
+    "shards": dict(
+        type=_int_at_least(1),
+        default=1,
+        help=(
+            "engine shards per simulation (default 1 = serial "
+            "kernel); > 1 partitions each run's drives across "
+            "forked event-loop shards, composing with --workers; "
+            "figures are bit-identical for any shard count (see "
+            "docs/parallelism.md)"
+        ),
+    ),
+    "trace": dict(
+        metavar="PATH",
+        default=None,
+        help=(
+            "record a request-lifecycle trace of this command and "
+            "write Chrome trace-event JSON to PATH (open in "
+            "ui.perfetto.dev); figures are unchanged"
+        ),
+    ),
+    "metrics": dict(
         metavar="PATH",
         default=None,
         help=(
@@ -909,6 +866,155 @@ def _add_metrics_flag(command) -> None:
             "a .jsonl suffix appends one JSON snapshot line instead); "
             "figures are unchanged"
         ),
+    ),
+    "queue": dict(
+        metavar="DIR",
+        default="queue",
+        help="job-queue directory (default ./queue)",
+    ),
+    "retries": dict(
+        type=int,
+        default=0,
+        help=(
+            "retry transient queue errors this many times with "
+            "deterministic-jitter exponential backoff (default 0)"
+        ),
+    ),
+    "deadline": dict(
+        type=float,
+        default=None,
+        help=(
+            "wall-clock budget in seconds for the call including "
+            "retries (default: none)"
+        ),
+    ),
+}
+
+
+def _add_flags(command, *flags: str, **defaults) -> None:
+    """Add the named shared flags to ``command``; ``defaults``
+    overrides their defaults (``requests=6000``)."""
+    for flag in flags:
+        command.add_argument(f"--{flag}", **_SHARED_FLAGS[flag])
+    command.set_defaults(**defaults)
+
+
+#: Experiments ``trace``/``report`` can run; the keys of
+#: ``repro.obs.run.TRACEABLE_EXPERIMENTS`` (not imported here, so
+#: ``repro --help`` loads only the CLI).
+TRACEABLE = (
+    "limit_study", "parallel_study", "bottleneck", "rpm_study", "rebuild",
+)
+_TRACE_FORMATS = ("disksim", "spc1", "blktrace")
+
+
+def _add_traced_run_flags(command) -> None:
+    """``--requests``/``--workers``/``--actuators`` of a traced run."""
+    command.add_argument(
+        "--requests",
+        type=_int_at_least(1),
+        default=1000,
+        help="requests per traced run (default 1000)",
+    )
+    command.add_argument(
+        "--workers",
+        type=_int_at_least(0),
+        default=1,
+        help=(
+            "worker processes (default 1; 0 = all cores); worker "
+            "traces are merged, figures identical for any count"
+        ),
+    )
+    command.add_argument(
+        "--actuators",
+        type=_int_at_least(1),
+        default=4,
+        help=(
+            "arm count of the supplementary HC-SD-SA(n) runs "
+            "(limit_study) and RAID members (rebuild); default 4"
+        ),
+    )
+
+
+def _add_trace_commands(sub) -> None:
+    trace = sub.add_parser(
+        "trace",
+        help=(
+            "run an experiment with request-lifecycle tracing and "
+            "export the trace"
+        ),
+    )
+    tools = trace.add_subparsers(dest="experiment", required=True)
+    for name in TRACEABLE:
+        run = tools.add_parser(
+            name, help=f"trace {name} and export the trace"
+        )
+        run.set_defaults(handler=_trace)
+        run.add_argument(
+            "-o",
+            "--out",
+            default="trace.json",
+            help="output path (default trace.json)",
+        )
+        run.add_argument(
+            "--format",
+            choices=("chrome", "jsonl"),
+            default="chrome",
+            help=(
+                "chrome = trace-event JSON for Perfetto (default); "
+                "jsonl = one span per line"
+            ),
+        )
+        _add_traced_run_flags(run)
+        _add_flags(run, "metrics")
+
+    convert = tools.add_parser(
+        "convert", help="convert a trace file to another format"
+    )
+    convert.set_defaults(handler=_trace_convert)
+    convert.add_argument("src", metavar="SRC", help="trace file to read")
+    convert.add_argument("dst", metavar="DST", help="trace file to write")
+    convert.add_argument(
+        "--in-format",
+        choices=_TRACE_FORMATS,
+        default=None,
+        help="input trace format (default: detect from the file suffix)",
+    )
+    convert.add_argument(
+        "--out-format",
+        choices=("disksim", "spc1"),
+        default=None,
+        help=(
+            "output format (default: detect from the destination "
+            "suffix; blktrace is read-only)"
+        ),
+    )
+    convert.add_argument(
+        "--sort",
+        action="store_true",
+        help=(
+            "sort converted requests by arrival time (materializes "
+            "the trace in memory; required before replaying a "
+            "non-monotone trace)"
+        ),
+    )
+    convert.add_argument(
+        "--limit",
+        type=int,
+        default=None,
+        help="convert at most this many requests",
+    )
+
+    stat = tools.add_parser(
+        "stat", help="profile a trace file in one streaming pass"
+    )
+    stat.set_defaults(handler=_trace_stat)
+    stat.add_argument("path", metavar="PATH", help="trace file to profile")
+    stat.add_argument(
+        "--in-format",
+        choices=_TRACE_FORMATS,
+        default=None,
+        help="trace format (default: detect from the file suffix)",
     )
 
 
@@ -922,55 +1028,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, handler: Callable, help_text: str):
+    def add_command(
+        name: str, handler: Callable, help_text: str, *flags, **defaults
+    ):
         command = sub.add_parser(name, help=help_text)
         command.set_defaults(handler=handler)
-        command.add_argument(
-            "--requests",
-            type=_int_at_least(1),
-            default=4000,
-            help="requests per simulation run (default %(default)s)",
-        )
-        command.add_argument(
-            "--workers",
-            type=_int_at_least(0),
-            default=1,
-            help=(
-                "worker processes for independent runs (default 1 = "
-                "in-process; 0 = all cores); results are identical for "
-                "any worker count"
-            ),
-        )
-        command.add_argument(
-            "--shards",
-            type=_int_at_least(1),
-            default=1,
-            help=(
-                "engine shards per simulation (default 1 = serial "
-                "kernel); > 1 partitions each run's drives across "
-                "forked event-loop shards, composing with --workers; "
-                "figures are bit-identical for any shard count (see "
-                "docs/parallelism.md)"
-            ),
-        )
-        command.add_argument(
-            "--trace",
-            metavar="PATH",
-            default=None,
-            help=(
-                "record a request-lifecycle trace of this command and "
-                "write Chrome trace-event JSON to PATH (open in "
-                "ui.perfetto.dev); figures are unchanged"
-            ),
-        )
-        _add_metrics_flag(command)
+        _add_flags(command, *flags, **defaults)
         return command
 
-    for name in ARTIFACTS:
-        add(name, ARTIFACTS[name], f"regenerate paper artifact {name}")
-    add("all", _all, "regenerate every table and figure")
-    results = add(
-        "results", _results, "write a markdown report of every artifact"
+    for study_name, study in STUDIES.items():
+        for name in study.artifacts:
+            add_command(
+                name,
+                functools.partial(_artifact, study_name, name),
+                f"regenerate paper artifact {name}",
+                *study.command_flags,
+            )
+    every_study_flag = [
+        flag for flag in _SHARED_FLAGS
+        if any(flag in study.command_flags for study in STUDIES.values())
+    ]
+    add_command(
+        "all", _all, "regenerate every table and figure", *every_study_flag
+    )
+    results = add_command(
+        "results",
+        _results,
+        "write a markdown report of every artifact",
+        *every_study_flag,
     )
     results.add_argument(
         "-o",
@@ -978,11 +1063,18 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="output file (default: stdout)",
     )
-    add("workloads", _workloads, "summarise the trace models")
-    bench = add(
+    add_command(
+        "workloads", _workloads, "summarise the trace models", "requests"
+    )
+    bench = add_command(
         "bench",
         _bench,
         "replay the fixed-seed limit study and record its figures digest",
+        "requests",
+        "workers",
+        *_INSTRUMENT_FLAGS,
+        # The reference benchmark workload is the 6000-request limit study.
+        requests=6000,
     )
     bench.add_argument(
         "-o",
@@ -1000,12 +1092,14 @@ def build_parser() -> argparse.ArgumentParser:
             "unless its figure digest and event count match"
         ),
     )
-    # The reference benchmark workload is the 6000-request limit study.
-    bench.set_defaults(requests=6000)
-    profile = add(
+    profile = add_command(
         "profile",
         _profile,
         "cProfile one serial bench pass per workload",
+        "requests",
+        *_INSTRUMENT_FLAGS,
+        # A profiled pass is ~4x slower than a timed one; default smaller.
+        requests=2000,
     )
     profile.add_argument(
         "--top",
@@ -1031,17 +1125,23 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="subset of commercial workloads to profile (default: all)",
     )
-    # A profiled pass is ~4x slower than a timed one; default smaller.
-    profile.set_defaults(requests=2000)
-    add(
+    add_command(
         "scorecard",
         _scorecard,
         "evaluate DESIGN.md's success criteria in one pass",
+        "requests",
+        "workers",
+        *_INSTRUMENT_FLAGS,
     )
-    faults = add(
+    faults = add_command(
         "faults",
         _faults,
         "replay a seeded fault plan: degraded CDFs + MTTDL table",
+        *_DRIVER_FLAGS,
+        *_INSTRUMENT_FLAGS,
+        # The reliability cells run with an aggressive retry policy and
+        # a structural failure mid-run; 2000 requests keeps it quick.
+        requests=2000,
     )
     faults.add_argument(
         "--plan",
@@ -1073,9 +1173,6 @@ def build_parser() -> argparse.ArgumentParser:
             "invalid); no simulation runs"
         ),
     )
-    # The reliability cells run with an aggressive retry policy and a
-    # structural failure mid-run; 2000 requests keeps the study quick.
-    faults.set_defaults(requests=2000)
 
     chaos = sub.add_parser(
         "chaos",
@@ -1190,108 +1287,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the queue with durable (fsynced) writes; off by "
         "default to keep campaigns fast",
     )
-    _add_metrics_flag(chaos)
+    _add_flags(chaos, "metrics")
 
     listing = sub.add_parser("list", help="list available artifacts")
     listing.set_defaults(handler=_list)
 
-    trace = sub.add_parser(
-        "trace",
-        help=(
-            "run an experiment with request-lifecycle tracing and "
-            "export the trace"
-        ),
-    )
-    trace.set_defaults(handler=_trace)
-    trace.add_argument(
-        "experiment",
-        help=(
-            "experiment to trace: limit_study | parallel_study | "
-            "bottleneck | rpm_study | rebuild"
-        ),
-    )
-    trace.add_argument(
-        "-o",
-        "--out",
-        default="trace.json",
-        help="output path (default trace.json)",
-    )
-    trace.add_argument(
-        "--format",
-        choices=("chrome", "jsonl"),
-        default="chrome",
-        help=(
-            "chrome = trace-event JSON for Perfetto (default); "
-            "jsonl = one span per line"
-        ),
-    )
-    trace.add_argument(
-        "--requests",
-        type=_int_at_least(1),
-        default=1000,
-        help="requests per traced run (default 1000)",
-    )
-    trace.add_argument(
-        "--workers",
-        type=_int_at_least(0),
-        default=1,
-        help=(
-            "worker processes (default 1; 0 = all cores); worker "
-            "traces are merged, figures identical for any count"
-        ),
-    )
-    trace.add_argument(
-        "--actuators",
-        type=int,
-        default=4,
-        help=(
-            "arm count of the supplementary HC-SD-SA(n) runs "
-            "(limit_study) and RAID members (rebuild); default 4"
-        ),
-    )
-    trace.add_argument(
-        "paths",
-        nargs="*",
-        metavar="PATH",
-        help=(
-            "for 'trace convert SRC DST' / 'trace stat PATH': the "
-            "trace files to convert or profile"
-        ),
-    )
-    trace.add_argument(
-        "--in-format",
-        choices=("disksim", "spc1", "blktrace"),
-        default=None,
-        help=(
-            "input trace format for convert/stat (default: detect "
-            "from the file suffix)"
-        ),
-    )
-    trace.add_argument(
-        "--out-format",
-        choices=("disksim", "spc1"),
-        default=None,
-        help=(
-            "output format for convert (default: detect from the "
-            "destination suffix; blktrace is read-only)"
-        ),
-    )
-    trace.add_argument(
-        "--sort",
-        action="store_true",
-        help=(
-            "sort converted requests by arrival time (materializes "
-            "the trace in memory; required before replaying a "
-            "non-monotone trace)"
-        ),
-    )
-    trace.add_argument(
-        "--limit",
-        type=int,
-        default=None,
-        help="convert at most this many requests",
-    )
-    _add_metrics_flag(trace)
+    _add_trace_commands(sub)
 
     report = sub.add_parser(
         "report",
@@ -1302,17 +1303,14 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     report.set_defaults(handler=_report_analysis)
-    report.add_argument(
+    source = report.add_mutually_exclusive_group(required=True)
+    source.add_argument(
         "experiment",
         nargs="?",
-        default=None,
-        help=(
-            "experiment to trace and analyse: limit_study | "
-            "parallel_study | bottleneck | rpm_study | rebuild "
-            "(omit with --from-trace)"
-        ),
+        choices=TRACEABLE,
+        help="experiment to trace and analyse",
     )
-    report.add_argument(
+    source.add_argument(
         "--from-trace",
         metavar="PATH",
         default=None,
@@ -1341,36 +1339,8 @@ def build_parser() -> argparse.ArgumentParser:
             "prefix (e.g. 'HC-SD' or 'MD-websearch')"
         ),
     )
-    report.add_argument(
-        "--requests",
-        type=_int_at_least(1),
-        default=1000,
-        help="requests per traced run (default 1000)",
-    )
-    report.add_argument(
-        "--workers",
-        type=_int_at_least(0),
-        default=1,
-        help="worker processes for the traced run (default 1)",
-    )
-    report.add_argument(
-        "--actuators",
-        type=int,
-        default=4,
-        help=(
-            "arm count of the supplementary HC-SD-SA(n) runs "
-            "(limit_study) and RAID members (rebuild); default 4"
-        ),
-    )
-    _add_metrics_flag(report)
-
-    def add_queue(command):
-        command.add_argument(
-            "--queue",
-            metavar="DIR",
-            default="queue",
-            help="job-queue directory (default ./queue)",
-        )
+    _add_traced_run_flags(report)
+    _add_flags(report, "metrics")
 
     serve = sub.add_parser(
         "serve",
@@ -1380,7 +1350,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     serve.set_defaults(handler=_serve)
-    add_queue(serve)
+    _add_flags(serve, "queue")
     serve.add_argument(
         "--workers",
         type=int,
@@ -1440,7 +1410,7 @@ def build_parser() -> argparse.ArgumentParser:
             "scratch/test queues)"
         ),
     )
-    _add_metrics_flag(serve)
+    _add_flags(serve, "metrics")
 
     submit = sub.add_parser(
         "submit",
@@ -1450,7 +1420,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     submit.set_defaults(handler=_submit)
-    add_queue(submit)
+    _add_flags(submit, "queue")
     submit.add_argument(
         "--workload",
         default=None,
@@ -1470,7 +1440,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     submit.add_argument(
         "--in-format",
-        choices=("disksim", "spc1", "blktrace"),
+        choices=_TRACE_FORMATS,
         default=None,
         help="trace-file format (default: detect from suffix)",
     )
@@ -1490,10 +1460,16 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     submit.add_argument(
-        "--actuators", type=int, default=1, help="arm assemblies (1-4)"
+        "--actuators",
+        type=_int_at_least(1),
+        default=1,
+        help="arm assemblies (1-4)",
     )
     submit.add_argument(
-        "--rpm", type=float, default=None, help="override spindle RPM"
+        "--rpm",
+        type=_positive_float,
+        default=None,
+        help="override spindle RPM",
     )
     submit.add_argument(
         "--seed",
@@ -1519,15 +1495,14 @@ def build_parser() -> argparse.ArgumentParser:
             "from the cache key; default 65536)"
         ),
     )
-    _add_retry_flags(submit)
-    _add_metrics_flag(submit)
+    _add_flags(submit, "retries", "deadline", "metrics")
 
     status_cmd = sub.add_parser(
         "status",
         help="queue counts, or one job's record with a job id",
     )
     status_cmd.set_defaults(handler=_status)
-    add_queue(status_cmd)
+    _add_flags(status_cmd, "queue")
     status_cmd.add_argument(
         "job_id",
         nargs="?",
@@ -1536,20 +1511,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     status_cmd.add_argument(
         "--metrics",
+        dest="include_metrics",
         action="store_true",
         help=(
             "include the merged worker-metrics snapshot and worker "
             "heartbeats in the summary"
         ),
     )
-    _add_retry_flags(status_cmd)
+    _add_flags(status_cmd, "retries", "deadline")
 
     result_cmd = sub.add_parser(
         "result",
         help="fetch a finished job's canonical result payload",
     )
     result_cmd.set_defaults(handler=_result)
-    add_queue(result_cmd)
+    _add_flags(result_cmd, "queue")
     result_cmd.add_argument("job_id", help="job id to fetch")
     result_cmd.add_argument(
         "-o",
@@ -1557,7 +1533,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="write the payload bytes here (default: pretty-print)",
     )
-    _add_retry_flags(result_cmd)
+    _add_flags(result_cmd, "retries", "deadline")
 
     metrics_cmd = sub.add_parser(
         "metrics",
@@ -1567,7 +1543,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     metrics_cmd.set_defaults(handler=_metrics)
-    add_queue(metrics_cmd)
+    _add_flags(metrics_cmd, "queue")
     metrics_cmd.add_argument(
         "--watch",
         action="store_true",
@@ -1604,23 +1580,37 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the snapshot here instead of stdout",
     )
 
-    simulate = add("simulate", _simulate, "run one custom configuration")
+    simulate = add_command(
+        "simulate",
+        _simulate,
+        "run one custom configuration",
+        "requests",
+        "shards",
+        *_INSTRUMENT_FLAGS,
+    )
     simulate.add_argument(
         "--workload",
         default="websearch",
         help="financial | websearch | tpcc | tpch",
     )
     simulate.add_argument(
-        "--actuators", type=int, default=1, help="arm assemblies (1-4)"
+        "--actuators",
+        type=_int_at_least(1),
+        default=1,
+        help="arm assemblies (1-4)",
     )
     simulate.add_argument(
-        "--rpm", type=float, default=None, help="override spindle RPM"
+        "--rpm",
+        type=_positive_float,
+        default=None,
+        help="override spindle RPM",
     )
     simulate.add_argument(
         "--md",
         action="store_true",
         help="also simulate the original multi-disk array",
     )
+    listing.set_defaults(commands=tuple(sub.choices))
     return parser
 
 
@@ -1629,10 +1619,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     trace_path = getattr(args, "trace", None)
     metrics_path = getattr(args, "metrics", None)
-    if isinstance(metrics_path, bool):
-        # ``status --metrics`` is a boolean summary toggle handled by
-        # its own handler, not an ambient recording session.
-        metrics_path = None
 
     def invoke() -> None:
         if metrics_path:

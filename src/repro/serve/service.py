@@ -250,18 +250,8 @@ def worker_loop(
         now = time.time()
         if not force and now - last_beat < heartbeat_interval_s:
             return
-        registry.gauge(
-            "repro_worker_heartbeat_timestamp",
-            "Wall-clock time of the worker's last metrics write",
-            labels=("worker", "pid"),
-        ).labels(worker=worker_name, pid=os.getpid()).set(now)
-        depth = registry.gauge(
-            "repro_queue_depth",
-            "Jobs per queue state, as of this worker's last sample",
-            labels=("state",),
-        )
-        for state, count in queue.counts().items():
-            depth.labels(state=state).set(count)
+        # Readers derive the heartbeat from the file's ``written_at``
+        # and re-sample queue depth live (``merged_queue_metrics``).
         write_worker_snapshot(queue_dir, worker_name, registry, now=now)
         last_beat = now
 

@@ -1,17 +1,40 @@
 """Tests for the command-line interface."""
 
+import argparse
+import importlib
+import inspect
+
 import pytest
 
-from repro.cli import ARTIFACTS, build_parser, main
+from repro.cli import STUDIES, TRACEABLE, build_parser, main
+
+ARTIFACTS = {
+    artifact: study
+    for study in STUDIES.values()
+    for artifact in study.artifacts
+}
+
+
+def subcommands(parser):
+    (action,) = [
+        action for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return list(action.choices)
 
 
 class TestParser:
     def test_every_artifact_has_a_subcommand(self):
         parser = build_parser()
-        for name in ARTIFACTS:
+        assert list(ARTIFACTS) == [
+            "table1", "table2", "fig2", "fig3", "fig4", "fig5", "fig6",
+            "fig7", "fig8", "fig9",
+        ]
+        assert subcommands(parser)[:len(ARTIFACTS)] == list(ARTIFACTS)
+        for name, study in ARTIFACTS.items():
             args = parser.parse_args([name])
-            assert args.handler is ARTIFACTS[name]
-            assert args.requests == 4000
+            if study.driver is not None:
+                assert args.requests == 4000
 
     def test_requests_flag(self):
         parser = build_parser()
@@ -41,6 +64,12 @@ class TestParser:
             (["report", "limit_study", "--requests", "0"],
              "--requests: must be >= 1"),
             (["fig3", "--requests", "many"], "invalid int value"),
+            (["trace", "limit_study", "--actuators", "0"],
+             "--actuators: must be >= 1"),
+            (["report", "limit_study", "--actuators", "0"],
+             "--actuators: must be >= 1"),
+            (["simulate", "--actuators", "0"], "--actuators: must be >= 1"),
+            (["simulate", "--rpm", "-5"], "--rpm: must be finite and > 0"),
         ],
     )
     def test_out_of_range_numbers_are_usage_errors(
@@ -70,13 +99,92 @@ class TestParser:
             help_text
         )
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table1", "--workers", "2"],
+            ["fig9", "--trace", "t.json"],
+            ["fig5", "--shards", "2"],
+            ["bench", "--shards", "4"],
+            ["simulate", "--workers", "2"],
+            ["trace", "stat", "F", "--requests", "5"],
+            ["trace", "limit_study", "--sort"],
+        ],
+    )
+    def test_flags_a_command_does_not_read_are_usage_errors(
+        self, argv, capsys
+    ):
+        with pytest.raises(SystemExit) as stop:
+            build_parser().parse_args(argv)
+        assert stop.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_trace_experiments_are_the_traceable_ones(self):
+        from repro.obs.run import TRACEABLE_EXPERIMENTS
+
+        assert TRACEABLE == tuple(TRACEABLE_EXPERIMENTS)
+
+
+class TestStudyTable:
+    def test_study_flags_match_driver_parameters(self):
+        parser = build_parser()
+        for name, study in STUDIES.items():
+            module = importlib.import_module(f"repro.experiments.{name}")
+            parameters = set()
+            if study.driver is not None:
+                driver = getattr(module, study.driver)
+                parameters = set(inspect.signature(driver).parameters)
+            for artifact in study.artifacts:
+                args = vars(parser.parse_args([artifact]))
+                for flag, parameter in (
+                    ("requests", "requests"),
+                    ("workers", "n_workers"),
+                    ("shards", "shards"),
+                ):
+                    assert (flag in args) == (parameter in parameters), (
+                        artifact, flag,
+                    )
+                simulates = study.driver is not None
+                assert ("trace" in args) == simulates, artifact
+                assert ("metrics" in args) == simulates, artifact
+
+    def test_all_runs_each_study_once(self, monkeypatch, capsys):
+        calls = {}
+        for name, study in STUDIES.items():
+            if study.driver is None:
+                continue
+            module = importlib.import_module(f"repro.experiments.{name}")
+            driver = getattr(module, study.driver)
+
+            def counted(*args, _driver=driver, _name=name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _driver(*args, **kwargs)
+
+            monkeypatch.setattr(module, study.driver, counted)
+        assert main(["all", "--requests", "200"]) == 0
+        combined = capsys.readouterr().out
+        assert calls == {
+            name: 1 for name, study in STUDIES.items() if study.driver
+        }
+
+        expected = []
+        for name, study in ARTIFACTS.items():
+            scale = ["--requests", "200"] if study.driver else []
+            assert main([name, *scale]) == 0
+            banner = "=" * 72
+            expected.append(f"{banner}\n{name}\n{banner}\n")
+            expected.append(capsys.readouterr().out + "\n")
+        assert combined == "".join(expected)
+
 
 class TestCommands:
     def test_list(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
-        assert "table1" in out
-        assert "fig8" in out
+        listed = out.replace(",", " ").split()
+        for name in subcommands(build_parser()):
+            assert name in listed
+        assert out.startswith(f"artifacts: {', '.join(ARTIFACTS)}\n")
 
     def test_table1(self, capsys):
         assert main(["table1"]) == 0

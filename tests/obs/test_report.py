@@ -193,17 +193,23 @@ class TestReportCli:
         out = capsys.readouterr().out
         assert "rotation" in out
 
-    def test_experiment_and_trace_mutually_exclusive(self, tmp_path):
-        with pytest.raises(SystemExit, match="experiment to trace OR"):
-            main(["report"])
-        with pytest.raises(SystemExit, match="experiment to trace OR"):
-            main(
-                ["report", "limit_study", "--from-trace", "x.json"]
-            )
+    def test_experiment_and_trace_mutually_exclusive(self, capsys):
+        for argv, message in (
+            (["report"], "one of the arguments experiment --from-trace "
+             "is required"),
+            (["report", "limit_study", "--from-trace", "x.json"],
+             "argument --from-trace: not allowed with argument experiment"),
+        ):
+            with pytest.raises(SystemExit) as stop:
+                main(argv)
+            assert stop.value.code == 2
+            assert message in capsys.readouterr().err
 
-    def test_unknown_experiment(self):
-        with pytest.raises(SystemExit, match="unknown experiment"):
+    def test_unknown_experiment(self, capsys):
+        with pytest.raises(SystemExit) as stop:
             main(["report", "nope"])
+        assert stop.value.code == 2
+        assert "invalid choice: 'nope'" in capsys.readouterr().err
 
     def test_bad_trace_file(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -14,6 +14,7 @@ import pytest
 
 from repro.obs.metrics import (
     NullMetrics,
+    load_worker_snapshots,
     metrics_session,
     parse_prometheus,
     render_prometheus,
@@ -80,6 +81,26 @@ class TestWorkerMetrics:
         pid = str(os.getpid())
         assert beat.labels(worker="alpha", pid=pid).value > 0
         assert workers[0]["pid"] == os.getpid()
+
+    def test_worker_files_leave_heartbeat_and_depth_to_readers(
+        self, tmp_path
+    ):
+        q = tmp_path / "q"
+        submit(q, JobSpec(**SMALL))
+        worker_loop(q, drain=True, metrics=True, owner="alpha")
+        (payload,) = load_worker_snapshots(q)
+        families = payload["metrics"]["families"]
+        assert "repro_worker_heartbeat_timestamp" not in families
+        assert "repro_queue_depth" not in families
+        registry, _ = merged_queue_metrics(q)
+        beat = registry.gauge(
+            "repro_worker_heartbeat_timestamp", labels=("worker", "pid")
+        )
+        assert beat.labels(worker="alpha", pid=str(os.getpid())).value == (
+            payload["written_at"]
+        )
+        depth = registry.gauge("repro_queue_depth", labels=("state",))
+        assert depth.labels(state="done").value == 1
 
     def test_job_wall_histogram_split_by_cached(self, tmp_path):
         q = tmp_path / "q"

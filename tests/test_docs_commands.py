@@ -1,9 +1,10 @@
 """Every ``python -m repro`` command shown in the docs parses.
 
-README.md and docs/*.md show commands in fenced code blocks; a flag
-renamed or removed in the CLI would leave them failing with a usage
-error.  Each ``;``-separated command on such a line must be accepted
-by :func:`repro.cli.build_parser` (trailing ``#`` comments ignored).
+README.md, EXPERIMENTS.md and docs/*.md show commands in fenced code
+blocks; a flag renamed or removed in the CLI would leave them failing
+with a usage error.  Each ``;``-separated command on such a line must
+be accepted by :func:`repro.cli.build_parser` (trailing ``#`` comments
+ignored).
 """
 
 import glob
@@ -20,7 +21,9 @@ PREFIX = ["python", "-m", "repro"]
 
 
 def documented_commands():
-    paths = [os.path.join(ROOT, "README.md")] + sorted(
+    paths = [
+        os.path.join(ROOT, "README.md"), os.path.join(ROOT, "EXPERIMENTS.md")
+    ] + sorted(
         glob.glob(os.path.join(ROOT, "docs", "*.md"))
     )
     commands = []
