@@ -1353,7 +1353,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(serve, "queue")
     serve.add_argument(
         "--workers",
-        type=int,
+        type=_int_at_least(1),
         default=2,
         help="worker processes (default 2; 1 runs in-process)",
     )
@@ -1364,19 +1364,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--max-jobs",
-        type=int,
+        type=_int_at_least(1),
         default=None,
         help="jobs per worker before it exits (default: unlimited)",
     )
     serve.add_argument(
         "--poll-interval",
-        type=float,
+        type=_positive_float,
         default=0.2,
         help="idle polling interval in seconds (default 0.2)",
     )
     serve.add_argument(
         "--lease-timeout",
-        type=float,
+        type=_positive_float,
         default=3600.0,
         help=(
             "seconds before a claimed job from a crashed worker is "
@@ -1385,13 +1385,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--max-attempts",
-        type=int,
+        type=_int_at_least(1),
         default=3,
         help="requeue attempts before a job is failed (default 3)",
     )
     serve.add_argument(
         "--max-restarts",
-        type=int,
+        type=_int_at_least(0),
         default=0,
         help=(
             "restart a crashed (nonzero-exit) worker up to this many "

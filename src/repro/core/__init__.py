@@ -2,10 +2,10 @@
 
 * :mod:`repro.core.taxonomy` — the DASH design-space taxonomy
   (``D_k A_l S_m H_n``).
-* :mod:`repro.core.actuator` — independent arm-assembly state.
 * :mod:`repro.core.parallel_disk` — the HC-SD-SA(n) multi-actuator
-  drive: SPTF arm selection under the paper's two conventional-drive
-  restrictions (one arm in motion, one head transferring).
+  drive: the conventional drive's service path laid out with ``n`` arm
+  assemblies, under the paper's two conventional-drive restrictions
+  (one arm in motion, one head transferring).
 * :mod:`repro.core.extensions` — the technical-report relaxations:
   multiple arms in motion (MA) and multiple data channels (MC).
 * :mod:`repro.core.factory` — build any DASH configuration (including
@@ -17,7 +17,6 @@ from repro import _lazy_namespace
 __getattr__, __dir__ = _lazy_namespace(
     globals(),
     {
-        "repro.core.actuator": ("ArmAssembly",),
         "repro.core.extensions": ("OverlappedParallelDisk",),
         "repro.core.factory": ("build_dash_drive",),
         "repro.core.parallel_disk": ("ParallelDisk",),
@@ -26,7 +25,6 @@ __getattr__, __dir__ = _lazy_namespace(
 )
 
 __all__ = [
-    "ArmAssembly",
     "CONVENTIONAL",
     "DashConfig",
     "OverlappedParallelDisk",

@@ -24,9 +24,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.actuator import ArmAssembly
 from repro.core.parallel_disk import ParallelDisk
 from repro.core.taxonomy import DashConfig
+from repro.disk.actuator import ArmAssembly
 from repro.disk.request import IORequest
 from repro.disk.scheduler import QueueScheduler
 from repro.disk.specs import DriveSpec
@@ -163,8 +163,16 @@ class OverlappedParallelDisk(ParallelDisk):
         rotation: float,
     ):
         overhead = self.spec.controller_overhead_ms
-        address = self.geometry.to_physical(request.lba)
-        sector_angle = self.geometry.sector_angle(address)
+        (
+            _cylinder,
+            sector_angle,
+            spt,
+            track_crossings,
+            cylinder_crossings,
+            end_cylinder,
+            end_sector,
+            end_spt,
+        ) = self.geometry.service_plan(request.lba, request.size)
 
         yield self.env.timeout(overhead + seek)
         self.stats.transfer_ms += overhead
@@ -192,7 +200,9 @@ class OverlappedParallelDisk(ParallelDisk):
                     yield self.env.timeout(realign)
                     self.stats.rotational_latency_ms += realign
                     rotation += realign
-            transfer = self._transfer_time(request)
+            transfer = self._transfer_time(
+                request.size, spt, track_crossings, cylinder_crossings
+            )
             yield self.env.timeout(transfer)
         self.stats.transfer_ms += transfer
         self.stats.sectors_transferred += request.size
@@ -202,10 +212,8 @@ class OverlappedParallelDisk(ParallelDisk):
         request.transfer_time = transfer
         request.arm_id = arm.arm_id
         arm.record_service(seek)
-        arm.move_to(
-            self.geometry.to_physical(request.lba + request.size - 1).cylinder
-        )
-        self._current_cylinder = arm.cylinder
-        self._update_cache(request)
+        arm.move_to(end_cylinder)
+        self._current_cylinder = end_cylinder
+        self._update_cache_planned(request, end_sector, end_spt)
         self._complete(request)
         self._notify_arm_free(arm)

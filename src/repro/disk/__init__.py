@@ -1,7 +1,7 @@
 """Conventional disk-drive substrate (a DiskSim-equivalent in Python).
 
-This package models a single-actuator hard disk drive at the level of
-detail the paper's methodology requires:
+This package models a hard disk drive at the level of detail the
+paper's methodology requires:
 
 * :mod:`repro.disk.geometry` — zoned platter geometry and LBA→PBA maps.
 * :mod:`repro.disk.seek` — seek-time curve models.
@@ -9,7 +9,9 @@ detail the paper's methodology requires:
 * :mod:`repro.disk.cache` — the segmented on-board cache with read-ahead.
 * :mod:`repro.disk.scheduler` — queue schedulers (FCFS/SSTF/SPTF/C-LOOK).
 * :mod:`repro.disk.specs` — published drive specifications (Table 1 et al.).
-* :mod:`repro.disk.drive` — the conventional drive service model.
+* :mod:`repro.disk.actuator` — arm-assembly state.
+* :mod:`repro.disk.drive` — the drive service model: one spindle, ``n``
+  arm assemblies (one for the conventional drive).
 """
 
 from repro import _lazy_namespace
@@ -17,8 +19,8 @@ from repro import _lazy_namespace
 __getattr__, __dir__ = _lazy_namespace(
     globals(),
     {
+        "repro.disk.actuator": ("ArmAssembly",),
         "repro.disk.cache": ("DiskCache",),
-        "repro.disk.defects": ("DefectMap", "RemappingDrive"),
         "repro.disk.drive": ("ConventionalDrive", "DriveStats"),
         "repro.disk.drpm": ("DynamicRpmDrive",),
         "repro.disk.freeblock": ("FreeblockDrive",),
@@ -55,13 +57,13 @@ __getattr__, __dir__ = _lazy_namespace(
 )
 
 __all__ = [
+    "ArmAssembly",
     "BARRACUDA_ES",
     "CHEETAH_10K",
     "CLookScheduler",
     "CONNERS_CP3100",
     "ConstantSeekModel",
     "ConventionalDrive",
-    "DefectMap",
     "DiskCache",
     "DiskGeometry",
     "DriveSpec",
@@ -79,7 +81,6 @@ __all__ = [
     "SPEC_CATALOG",
     "SPTFScheduler",
     "SSTFScheduler",
-    "RemappingDrive",
     "SeekModel",
     "Spindle",
     "ThreePointSeekModel",

@@ -1,11 +1,13 @@
-"""Arm-assembly (actuator) state for multi-actuator drives.
+"""Arm-assembly (actuator) state.
 
-Each assembly tracks its own radial position (cylinder), its angular
-mount position around the spindle, and per-arm activity statistics.
-The VCM of an assembly consumes power only while that assembly seeks,
-which is why per-arm seek-time accounting matters for the power model
-(paper §7.2: Websearch's seek residency rises from 55 % to 90 % going
-from one to four arms).
+Every drive owns one assembly per actuator: a conventional drive has
+one, an HC-SD-SA(n) drive has ``n``.  Each assembly tracks its own
+radial position (cylinder), its angular mount position around the
+spindle, and per-arm activity statistics.  The VCM of an assembly
+consumes power only while that assembly seeks, which is why per-arm
+seek-time accounting matters for the power model (paper §7.2:
+Websearch's seek residency rises from 55 % to 90 % going from one to
+four arms).
 """
 
 from __future__ import annotations
@@ -25,25 +27,16 @@ class ArmAssembly:
         initial_cylinder: int = 0,
         head_offsets: Optional[List[float]] = None,
     ):
-        if not 0.0 <= mount_angle < 1.0:
-            raise ValueError(
-                f"mount_angle must be in [0, 1), got {mount_angle}"
-            )
         if initial_cylinder < 0:
             raise ValueError(
                 f"initial_cylinder must be non-negative, got {initial_cylinder}"
             )
         self.arm_id = arm_id
-        self.mount_angle = mount_angle
         self.cylinder = initial_cylinder
         #: Angular offsets of this arm's heads (H-dimension); the first
         #: head sits at offset 0 relative to the mount angle.
         self.head_offsets = list(head_offsets) if head_offsets else [0.0]
-        # Absolute head angles are fixed for the assembly's lifetime;
-        # precompute them so the per-request SPTF search is pure lookups.
-        self._head_angles = [
-            (self.mount_angle + offset) % 1.0 for offset in self.head_offsets
-        ]
+        self.mount_angle = mount_angle
         #: Simulated time until which this assembly is committed to an
         #: in-flight request (used by the overlapped extensions).
         self.busy_until = 0.0
@@ -55,6 +48,22 @@ class ArmAssembly:
         self.requests_serviced = 0
         self.seek_time_ms = 0.0
         self.seeks = 0
+
+    @property
+    def mount_angle(self) -> float:
+        """Angular position of the assembly around the spindle."""
+        return self._mount_angle
+
+    @mount_angle.setter
+    def mount_angle(self, angle: float) -> None:
+        if not 0.0 <= angle < 1.0:
+            raise ValueError(f"mount_angle must be in [0, 1), got {angle}")
+        self._mount_angle = angle
+        # The absolute head angles change only here; precompute them so
+        # the per-request SPTF search is pure lookups.
+        self._head_angles = [
+            (angle + offset) % 1.0 for offset in self.head_offsets
+        ]
 
     @property
     def heads_per_surface(self) -> int:

@@ -1,10 +1,13 @@
-"""The conventional (single-actuator) disk-drive service model.
+"""The disk-drive service model: one spindle, ``n`` arm assemblies.
 
 A :class:`ConventionalDrive` is a discrete-event process that services
 one request at a time, exactly as the paper describes the baseline
 (§2): for every media access, the request is *serialised* through
-controller overhead, seek, rotational latency, and transfer — the arm
-and spindle are used in a tightly coupled manner.
+controller overhead, seek, rotational latency, and transfer.  It owns
+one arm assembly at mount angle 0, the DASH ``D1A1S1H1`` point (§4);
+:class:`repro.core.parallel_disk.ParallelDisk` lays out ``n`` under the
+same two restrictions (§7.2), so both serve through the one path here,
+whose SPTF arm search reduces with one arm to seek plus rotational wait.
 
 The drive exposes two hooks that implement the paper's limit-study
 methodology (§7.1): ``seek_scale`` and ``rotation_scale`` multiply the
@@ -21,6 +24,7 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.disk.actuator import ArmAssembly
 from repro.disk.cache import DiskCache
 from repro.disk.geometry import DiskGeometry
 from repro.disk.request import IORequest
@@ -117,7 +121,8 @@ class DriveStats:
 
 
 class ConventionalDrive:
-    """A single-actuator drive attached to a simulation environment.
+    """A drive attached to a simulation environment, serving through
+    its arm assemblies (:attr:`arms`).
 
     Parameters
     ----------
@@ -182,19 +187,19 @@ class ConventionalDrive:
         seed_text = f"{self.label}#{occurrence}".encode()
         self.spindle.phase = (zlib.crc32(seed_text) % 9973) / 9973.0
         self.cache: DiskCache = spec.build_cache(segments=cache_segments)
-        #: Per-zone service-time table, outermost zone first (index
-        #: matches :attr:`DiskGeometry.zones` and the zone index of
-        #: :meth:`DiskGeometry.decode_target_zone`): the streaming time
-        #: of one sector in that zone.  Computed through the same
-        #: ``Spindle.transfer_time`` call the service paths use, so a
-        #: table lookup is bit-identical to recomputing — the
-        #: retry/degraded paths (defect detours, freeblock excursions)
-        #: price single-sector work from here instead of re-deriving
-        #: zone layout per access.
-        self.zone_sector_ms: Tuple[float, ...] = tuple(
-            self.spindle.transfer_time(1, zone.sectors_per_track)
-            for zone in self.geometry.zones
-        )
+        start = self.geometry.cylinders // 2
+        #: Arm assemblies in ``arm_id`` order: one at mount angle 0
+        #: (DASH ``D1A1S1H1``) unless a subclass lays out more.
+        self.arms: List[ArmAssembly] = [
+            ArmAssembly(arm_id=0, mount_angle=0.0, initial_cylinder=start)
+        ]
+        #: Surfaces streaming simultaneously (the DASH S dimension).
+        self.surfaces = 1
+        #: Enable firmware-style pre-positioning of idle assemblies
+        #: (see :meth:`_preposition`); the knob exists for ablation.
+        self.preposition_idle_arms = True
+        #: Count of background repositioning moves performed.
+        self.repositions = 0
 
         self.stats = DriveStats.for_arms(getattr(spec, "actuators", 1))
         #: Observability: resolved once at construction (``env.tracer``
@@ -222,7 +227,9 @@ class ConventionalDrive:
         self._pending: List[IORequest] = []
         self._completions: Dict[int, Event] = {}
         self._wakeup: Optional[Event] = None
-        self._current_cylinder = self.geometry.cylinders // 2
+        #: End cylinder of the last media access, whichever arm served
+        #: it: the head position the queue schedulers see.
+        self._current_cylinder = start
         self._cylinder_cache: Dict[int, int] = {}
         # SPTF re-estimates every windowed candidate at every dispatch
         # decision; a queued request's decoded target never changes, so
@@ -253,6 +260,10 @@ class ConventionalDrive:
     def current_cylinder(self) -> int:
         return self._current_cylinder
 
+    @property
+    def actuator_count(self) -> int:
+        return len(self.arms)
+
     def submit(self, request: IORequest) -> Event:
         """Queue a request; returns an event that fires on completion."""
         if request.lba + request.size > self.geometry.total_sectors:
@@ -276,23 +287,17 @@ class ConventionalDrive:
         This is the conservative lookahead of the sharded kernel: no
         request dispatched at time ``t`` can complete before ``t +
         min_service_ms()``.  Every service path pays the controller
-        overhead plus at least the cheaper of
-
-        * one sector over the bus (the cache-hit floor), or
-        * one sector streamed off the fastest (outermost) zone — seek,
-          settle, rotational latency and retry penalties only add to
-          the media path, and a transfer covers at least one sector at
-          no more than the maximum sectors-per-track rate.
-
-        Both terms are strictly positive, so the bound is usable as a
-        PDES lookahead.  Scaled seeks/rotation (the limit-study knobs)
-        can only reduce terms this bound already excludes.
+        overhead plus at least the cheaper of one sector over the bus
+        (the cache-hit floor) or one sector streamed off the fastest
+        zone by ``m`` parallel surfaces; seek, settle, rotation (of
+        any arm) and retries only add, and the limit-study scales can
+        only shrink terms the bound already excludes.
         """
         bus_ms = (512 / self.spec.bus_bytes_per_s) * 1000.0
         max_spt = max(
             zone.sectors_per_track for zone in self.geometry.zones
         )
-        media_ms = self.spindle.period_ms / max_spt
+        media_ms = self.spindle.period_ms / (max_spt * self.surfaces)
         return self.spec.controller_overhead_ms + min(bus_ms, media_ms)
 
     def inject_media_error(
@@ -357,11 +362,85 @@ class ConventionalDrive:
                 telemetry.counter("repro_faults_unrecovered_total").inc()
         return penalty
 
+    # -- arm selection ------------------------------------------------------
+    def best_arm_for(
+        self,
+        request: IORequest,
+        at_time: float,
+        include_busy: bool = False,
+    ) -> Tuple[ArmAssembly, float, float, int]:
+        """The (arm, seek, rotation, head) minimising positioning time.
+
+        Considers every arm that is idle at ``at_time``; this drive
+        serialises service, so all arms are idle at each decision
+        point.  With ``include_busy`` the search ignores
+        busy/idle state — used by the overlapped extensions to judge
+        whether waiting for a busy arm would beat dispatching now.
+        """
+        cylinder, sector_angle = self.geometry.decode_target(request.lba)
+        return self._best_arm(cylinder, sector_angle, at_time, include_busy)
+
+    def _best_arm(
+        self,
+        cylinder: int,
+        sector_angle: float,
+        at_time: float,
+        include_busy: bool = False,
+    ) -> Tuple[ArmAssembly, float, float, int]:
+        """SPTF arm search over an already-decoded target.
+
+        Arms are scanned in ``arm_id`` order with a strict improvement
+        test, so ties go to the lowest id — the same total order as the
+        documented ``(total, arm_id)`` key.
+        """
+        seek_time = self.seek_model.seek_time
+        spindle = self.spindle
+        latency_to = spindle.latency_to
+        period = spindle._period_ms
+        phase = spindle.phase
+        seek_scale = self.seek_scale
+        rotation_scale = self.rotation_scale
+        best: Optional[Tuple[float, ArmAssembly, float, float, int]] = None
+        for arm in self.arms:
+            if arm.failed:
+                # Deconfigured assemblies never serve again; SPTF
+                # degrades transparently to the survivors (and
+                # ``is_idle`` alone would not exclude them for the
+                # overlapped extensions' ``include_busy`` searches).
+                continue
+            if not include_busy and at_time < arm.busy_until:
+                continue
+            seek = seek_time(arm.cylinder, cylinder) * seek_scale
+            angles = arm._head_angles
+            if len(angles) == 1:
+                # Single head per surface (every evaluated design):
+                # Spindle.latency_to inlined, operation for operation,
+                # saving the best_head_latency and latency_to frames on
+                # each arm evaluation.
+                platter = (phase + (at_time + seek) / period) % 1.0
+                gap = (sector_angle - platter - angles[0]) % 1.0
+                if gap >= 1.0:  # float quirk: (-1e-18) % 1.0 == 1.0
+                    gap = 0.0
+                rotation = gap * period
+                head = 0
+            else:
+                rotation, head = arm.best_head_latency(
+                    latency_to, at_time + seek, sector_angle
+                )
+            rotation *= rotation_scale
+            total = seek + rotation
+            if best is None or total < best[0]:
+                best = (total, arm, seek, rotation, head)
+        if best is None:
+            raise RuntimeError("no idle arm available")
+        _, arm, seek, rotation, head = best
+        return arm, seek, rotation, head
+
     def positioning_estimate(self, request: IORequest) -> float:
         """Estimated seek + rotational latency if dispatched right now.
 
-        Used by SPTF; cache hits estimate to zero so they are always
-        preferred.
+        The best arm's estimate, used by SPTF; cache hits estimate to
+        zero so they are always preferred.
         """
         if request.is_read and self.cache.contains(request.lba, request.size):
             return 0.0
@@ -370,15 +449,70 @@ class ConventionalDrive:
             target = self.geometry.decode_target(request.lba)
             self._target_cache[request.request_id] = target
         cylinder, sector_angle = target
-        seek = (
-            self.seek_model.seek_time(self._current_cylinder, cylinder)
-            * self.seek_scale
-        )
-        rotation = (
-            self.spindle.latency_to(self.env._now + seek, sector_angle)
-            * self.rotation_scale
+        _, seek, rotation, _ = self._best_arm(
+            cylinder, sector_angle, self.env._now
         )
         return seek + rotation
+
+    def _preposition(self, active_arm: ArmAssembly, target_cylinder: int) -> None:
+        """Background repositioning of a stranded idle assembly.
+
+        A far-away assembly can never win the SPTF arm choice: its seek
+        penalty exceeds the largest possible rotational gain (one
+        revolution).  Drive firmware therefore shuttles idle assemblies
+        toward the active region while the servicing arm is stationary
+        (rotational-latency and transfer phases) — the servicing arm
+        stops moving once its seek ends, so the single-arm-in-motion
+        restriction is preserved for *servicing* seeks.
+
+        The move's VCM activity is billed to the seek-mode energy,
+        which is why the paper sees the fraction of non-zero-seek
+        requests (and seek power) grow with actuator count (§7.2).
+        """
+        if not self.preposition_idle_arms:
+            return
+        now = self.env._now
+        # First-maximal scan in arm_id order: the same arm max() with an
+        # abs-distance key would pick, without the candidate list.
+        farthest = None
+        farthest_distance = -1
+        for arm in self.arms:
+            if arm is active_arm or arm.failed or now < arm.busy_until:
+                continue
+            distance = arm.cylinder - target_cylinder
+            if distance < 0:
+                distance = -distance
+            if distance > farthest_distance:
+                farthest_distance = distance
+                farthest = arm
+        if farthest is None:
+            return
+        move = (
+            self.seek_model.seek_time(farthest.cylinder, target_cylinder)
+            * self.seek_scale
+        )
+        # Only shuttle assemblies whose seek handicap exceeds the
+        # typical rotational stake (half a revolution): any farther and
+        # the assembly can rarely win the SPTF arm choice.
+        if move <= self.spindle.average_latency_ms:
+            return
+        farthest.busy_until = now + move
+        farthest.move_to(target_cylinder)
+        farthest.seek_time_ms += move
+        farthest.seeks += 1
+        self.stats.seek_ms += move
+        self.stats.record_arm_seek(farthest.arm_id, move)
+        self.repositions += 1
+        if self.tracer.enabled:
+            self.tracer.span(
+                "preposition",
+                "seek",
+                now,
+                move,
+                (self.label, f"arm {farthest.arm_id}"),
+                args={"to_cylinder": target_cylinder},
+            )
+            self.tracer.telemetry.counter("repro_arm_repositions_total").inc()
 
     # -- internals ----------------------------------------------------------
     def _cylinder_of(self, request: IORequest) -> int:
@@ -529,27 +663,61 @@ class ConventionalDrive:
             end_sector,
             end_spt,
         ) = self.geometry.service_plan(request.lba, request.size)
-        seek = (
-            self.seek_model.seek_time(self._current_cylinder, cylinder)
-            * self.seek_scale
+        settle = 0.0 if request.is_read else spec.write_settle_ms
+        # The head is ready overhead (+ settle) + seek after now;
+        # evaluate the rotational gap for that instant so the charged
+        # latency matches the platter's true phase.
+        arm, seek, rotation, _head = self._best_arm(
+            cylinder, sector_angle, self.env._now + overhead + settle
         )
-        if not request.is_read and spec.write_settle_ms > 0.0:
-            # Writes need a tighter servo settle before the transfer.
-            seek += spec.write_settle_ms
-        # Every phase duration is fixed at dispatch: the rotational gap
-        # is a pure function of the (absolute) time the head comes
-        # ready, and the transfer time of the layout.  One combined
-        # timeout therefore reaches the same completion instant as
-        # yielding per phase while costing a third of the engine events.
-        rotation = (
-            self.spindle.latency_to(
-                self.env._now + overhead + seek, sector_angle
+        seek += settle
+        if self.tracer.enabled:
+            # Annotate the SPTF arm decision: which assembly won, what
+            # it cost, and how contested the choice was — the per-arm
+            # view behind the paper's Figure 5 latency shortening.
+            now = self.env.now
+            self.tracer.instant(
+                "arm-select",
+                now,
+                (self.label, f"arm {arm.arm_id}"),
+                args={
+                    "req": request.request_id,
+                    "arm": arm.arm_id,
+                    "seek_ms": seek,
+                    "rotation_ms": rotation,
+                    "idle_arms": sum(
+                        1 for a in self.arms if a.is_idle(now)
+                    ),
+                },
             )
-            * self.rotation_scale
-        )
-        transfer = self.spindle.transfer_time(request.size, spt)
-        transfer += (track_crossings - cylinder_crossings) * spec.head_switch_ms
-        transfer += cylinder_crossings * spec.seek_track_to_track_ms
+            self.tracer.telemetry.counter(
+                "repro_arm_selections_total", labels=("arm",)
+            ).labels(arm=arm.arm_id).inc()
+        self._preposition(arm, cylinder)
+
+        # Seek, rotation (estimated at decision time for the instant the
+        # head comes ready) and transfer are all fixed here, so one
+        # combined timeout reaches the same completion instant as
+        # yielding per phase at a third of the engine-event cost.  With
+        # ``m`` surfaces streaming simultaneously (S-dimension) the
+        # streaming time divides by ``m`` and intra-cylinder head
+        # switches disappear (see :meth:`_transfer_time`).
+        m = self.surfaces
+        # _transfer_time inlined, with Spindle.transfer_time inlined in
+        # turn (``(sectors / spt) * period``): service_plan already
+        # validated the request bounds, so the method's argument checks
+        # — and both frames — are redundant here.
+        if m <= 1:
+            transfer = (request.size / spt) * self.spindle._period_ms
+            transfer += (
+                track_crossings - cylinder_crossings
+            ) * spec.head_switch_ms
+            transfer += cylinder_crossings * spec.seek_track_to_track_ms
+        else:
+            transfer = (
+                (request.size / spt) * self.spindle._period_ms / m
+                + cylinder_crossings * spec.seek_track_to_track_ms
+            )
         # Armed media faults are rare; the healthy path pays only the
         # emptiness check, and adding 0.0 to the combined timeout is a
         # float identity, so fault support changes no healthy figure.
@@ -558,33 +726,50 @@ class ConventionalDrive:
         )
         if self.tracer.enabled:
             self._record_phase_spans(
-                request, self.env.now, overhead, seek, rotation, transfer, 0,
+                request,
+                self.env.now,
+                overhead,
+                seek,
+                rotation,
+                transfer,
+                arm.arm_id,
                 retry=penalty,
             )
         total = overhead + seek + rotation + transfer + penalty
-        # Stamped before the timeout: every phase is fixed at dispatch
-        # (see the combined-timeout comment above) and nothing reads
-        # the request mid-service, so the sharded kernel can report the
-        # completion — fields included — the moment it is scheduled.
+        # Stamped before the timeout (every phase is fixed here and the
+        # request is unobserved while in service) so the sharded kernel
+        # can report the completion, fields included, at dispatch.
         request.seek_time = seek
         request.rotational_latency = rotation
         request.transfer_time = transfer
+        request.arm_id = arm.arm_id
         if self.dispatch_listener is not None:
             self.dispatch_listener(request, total)
         yield self.env.timeout(total)
-        self.stats.transfer_ms += overhead  # overhead billed as transfer
-        self.stats.seek_ms += seek
-        self.stats.record_arm_seek(request.arm_id, seek)
+        # Post-service accounting with stats bound once and the
+        # record_arm_seek / record_service / move_to bodies inlined
+        # (drives preallocate per_arm_seek_ms at construction, and
+        # geometry end cylinders are always non-negative, so the
+        # methods' resize/validation branches cannot fire here).
+        stats = self.stats
+        stats.transfer_ms += overhead  # overhead billed as transfer
+        stats.seek_ms += seek
+        stats.per_arm_seek_ms[arm.arm_id] += seek
         if seek > 0.0:
-            self.stats.nonzero_seeks += 1
-        self.stats.rotational_latency_ms += rotation
+            stats.nonzero_seeks += 1
+        stats.rotational_latency_ms += rotation
         if penalty > 0.0:
             # The platter spins under a waiting head during retries, so
             # the time is rotational residency for mode/power purposes.
-            self.stats.rotational_latency_ms += penalty
-        self.stats.transfer_ms += transfer
-        self.stats.sectors_transferred += request.size
+            stats.rotational_latency_ms += penalty
+        stats.transfer_ms += transfer
+        stats.sectors_transferred += request.size
 
+        arm.requests_serviced += 1
+        arm.seek_time_ms += seek
+        if seek > 0.0:
+            arm.seeks += 1
+        arm.cylinder = end_cylinder
         self._current_cylinder = end_cylinder
         self._update_cache_planned(request, end_sector, end_spt)
 
@@ -624,26 +809,45 @@ class ConventionalDrive:
                 "media-retry", "retry", at + transfer, retry, track, args
             )
 
-    def _transfer_time(self, request: IORequest) -> float:
-        spt, track_crossings, cylinder_crossings = (
-            self.geometry.transfer_geometry(request.lba, request.size)
-        )
-        time = self.spindle.transfer_time(request.size, spt)
-        head_switches = track_crossings - cylinder_crossings
-        time += head_switches * self.spec.head_switch_ms
-        time += cylinder_crossings * self.spec.seek_track_to_track_ms
+    def _transfer_time(
+        self,
+        size: int,
+        spt: int,
+        track_crossings: int,
+        cylinder_crossings: int,
+    ) -> float:
+        """Media transfer time of ``size`` sectors laid out as given.
+
+        ``size / spt`` revolutions plus a head switch per track crossing
+        and a track-to-track seek per cylinder crossing.  With ``m``
+        surfaces streaming at once (S-dimension) the streaming time
+        divides by ``m`` and intra-cylinder head switches disappear; the
+        paper assumes the channel has the bandwidth for it (§4).
+        """
+        spec = self.spec
+        m = self.surfaces
+        if m > 1:
+            return (
+                self.spindle.transfer_time(size, spt) / m
+                + cylinder_crossings * spec.seek_track_to_track_ms
+            )
+        time = self.spindle.transfer_time(size, spt)
+        time += (track_crossings - cylinder_crossings) * spec.head_switch_ms
+        time += cylinder_crossings * spec.seek_track_to_track_ms
         return time
 
     def _update_cache_planned(
         self, request: IORequest, end_sector: int, end_spt: int
     ) -> None:
-        """:meth:`_update_cache` for callers holding a service plan.
+        """Install a serviced request in the on-board cache.
 
-        The end-of-transfer decode already happened inside
-        ``geometry.service_plan``; this variant just consumes it.
+        ``end_sector``/``end_spt`` locate the request's last sector (the
+        end-of-transfer decode ``geometry.service_plan`` already did):
+        a read installs read-ahead up to the end of that track.
         """
         if request.is_read:
             remaining_on_track = end_spt - end_sector - 1
+            # Don't read ahead past the end of the disk.
             to_disk_end = (
                 self.geometry.total_sectors - request.lba - request.size
             )
@@ -656,27 +860,6 @@ class ConventionalDrive:
             self.cache.install_write(request.lba, request.size)
         else:
             self.cache.invalidate(request.lba, request.size)
-
-    def _update_cache(self, request: IORequest) -> None:
-        if request.is_read:
-            _, _, end_sector, end_spt = self.geometry.decode(
-                request.lba + request.size - 1
-            )
-            remaining_on_track = end_spt - end_sector - 1
-            # Don't read ahead past the end of the disk.
-            to_disk_end = (
-                self.geometry.total_sectors - request.lba - request.size
-            )
-            if to_disk_end < remaining_on_track:
-                remaining_on_track = to_disk_end
-            self.cache.install_read(
-                request.lba, request.size, read_ahead_limit=remaining_on_track
-            )
-        else:
-            if self.cache.cache_writes:
-                self.cache.install_write(request.lba, request.size)
-            else:
-                self.cache.invalidate(request.lba, request.size)
 
     def _complete(self, request: IORequest) -> None:
         request.completion_time = self.env._now

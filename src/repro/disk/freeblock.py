@@ -119,7 +119,6 @@ class FreeblockDrive(ConventionalDrive):
         # sector_angle / transfer_geometry / end-decode quartet (same
         # zone tables, same formulas — the per-phase charges are
         # bit-identical to the piecewise lookups).
-        spec = self.spec
         (
             cylinder,
             sector_angle,
@@ -130,8 +129,11 @@ class FreeblockDrive(ConventionalDrive):
             end_sector,
             end_spt,
         ) = self.geometry.service_plan(request.lba, request.size)
+        # Single-arm by construction: the one assembly seeks, and parks
+        # where the transfer ends (the SPTF estimate reads its cylinder).
+        arm = self.arms[0]
         seek = (
-            self.seek_model.seek_time(self._current_cylinder, cylinder)
+            self.seek_model.seek_time(arm.cylinder, cylinder)
             * self.seek_scale
         )
         yield self.env.timeout(overhead + seek)
@@ -155,11 +157,9 @@ class FreeblockDrive(ConventionalDrive):
             yield self.env.timeout(rotation)
             self.stats.rotational_latency_ms += rotation
 
-        transfer = self.spindle.transfer_time(request.size, spt)
-        transfer += (
-            track_crossings - cylinder_crossings
-        ) * spec.head_switch_ms
-        transfer += cylinder_crossings * spec.seek_track_to_track_ms
+        transfer = self._transfer_time(
+            request.size, spt, track_crossings, cylinder_crossings
+        )
         yield self.env.timeout(transfer)
         self.stats.transfer_ms += transfer
         self.stats.sectors_transferred += request.size
@@ -167,6 +167,7 @@ class FreeblockDrive(ConventionalDrive):
         request.seek_time = seek
         request.rotational_latency = rotation
         request.transfer_time = transfer
+        arm.cylinder = end_cylinder
         self._current_cylinder = end_cylinder
         self._update_cache_planned(request, end_sector, end_spt)
 
@@ -202,7 +203,6 @@ class FreeblockDrive(ConventionalDrive):
         # foreground window, so the one-pass service_plan (in place of
         # three separate decodes plus transfer_geometry) matters; the
         # phase charges are bit-identical to the piecewise lookups.
-        spec = self.spec
         (
             cylinder,
             sector_angle,
@@ -221,11 +221,9 @@ class FreeblockDrive(ConventionalDrive):
             self.spindle.latency_to(self.env.now + seek_out, sector_angle)
             * self.rotation_scale
         )
-        transfer = self.spindle.transfer_time(candidate.size, spt)
-        transfer += (
-            track_crossings - cylinder_crossings
-        ) * spec.head_switch_ms
-        transfer += cylinder_crossings * spec.seek_track_to_track_ms
+        transfer = self._transfer_time(
+            candidate.size, spt, track_crossings, cylinder_crossings
+        )
         seek_back = (
             self.seek_model.seek_time(end_cylinder, foreground_cylinder)
             * self.seek_scale

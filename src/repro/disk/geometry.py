@@ -224,28 +224,6 @@ class DiskGeometry:
         skew = surface * self.track_skew + cylinder * self.cylinder_skew
         return cylinder, ((sector + skew) % spt) / spt
 
-    def decode_target_zone(self, lba: int) -> Tuple[int, float, int]:
-        """``(cylinder, sector_angle, zone_index)`` in one lookup.
-
-        :meth:`decode_target` with the zone index riding along, so
-        callers holding a per-zone table (e.g. the drives' precomputed
-        service-time tables) can finish their pricing without another
-        bisect.  The zone index orders outermost-first, matching
-        :attr:`zones`.
-        """
-        if not 0 <= lba < self.total_sectors:
-            self._check_lba(lba)
-        index = bisect_right(self._zone_first_lbas, lba) - 1
-        spt = self._zone_spts[index]
-        cylinder, rem = divmod(
-            lba - self._zone_first_lbas[index],
-            self._zone_sectors_per_cyl[index],
-        )
-        surface, sector = divmod(rem, spt)
-        cylinder += self._zone_first_cyls[index]
-        skew = surface * self.track_skew + cylinder * self.cylinder_skew
-        return cylinder, ((sector + skew) % spt) / spt, index
-
     def cylinder_of_lba(self, lba: int) -> int:
         """Cylinder holding an LBA (no full decode, no allocation)."""
         if not 0 <= lba < self.total_sectors:

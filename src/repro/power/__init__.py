@@ -24,21 +24,11 @@ __getattr__, __dir__ = _lazy_namespace(
             "SPM_DIAMETER_EXPONENT",
             "SPM_RPM_EXPONENT",
         ),
-        "repro.power.thermal": (
-            "CONVENTIONAL_35IN_ENVELOPE",
-            "EnvelopeCheck",
-            "ThermalEnvelope",
-            "check_design",
-        ),
     },
 )
 
 __all__ = [
-    "CONVENTIONAL_35IN_ENVELOPE",
     "DrivePowerModel",
-    "EnvelopeCheck",
-    "ThermalEnvelope",
-    "check_design",
     "PowerBreakdown",
     "SPM_DIAMETER_EXPONENT",
     "SPM_RPM_EXPONENT",

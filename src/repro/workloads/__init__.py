@@ -22,7 +22,6 @@ __getattr__, __dir__ = _lazy_namespace(
     globals(),
     {
         "repro.workloads.analysis": ("TraceProfile", "profile_trace"),
-        "repro.workloads.bursty": ("BurstyWorkload",),
         "repro.workloads.closedloop": (
             "ClosedLoopClients",
             "ClosedLoopResult",
@@ -55,7 +54,6 @@ __getattr__, __dir__ = _lazy_namespace(
 )
 
 __all__ = [
-    "BurstyWorkload",
     "COMMERCIAL_WORKLOADS",
     "ClosedLoopClients",
     "ClosedLoopResult",

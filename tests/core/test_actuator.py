@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.actuator import ArmAssembly
+from repro.disk.actuator import ArmAssembly
 
 
 class TestConstruction:
@@ -27,6 +27,15 @@ class TestHeadAngles:
         arm = ArmAssembly(1, mount_angle=0.9, head_offsets=[0.0, 0.2])
         angles = arm.head_angles()
         assert angles[1] == pytest.approx(0.1)
+
+    def test_mount_angle_write_moves_the_heads(self):
+        arm = ArmAssembly(1, mount_angle=0.5, head_offsets=[0.0, 0.25])
+        arm.mount_angle = 0.0
+        assert arm.mount_angle == 0.0
+        assert arm.head_angles() == [0.0, 0.25]
+        with pytest.raises(ValueError):
+            arm.mount_angle = 1.5
+        assert arm.head_angles() == [0.0, 0.25]
 
 
 class TestBestHeadLatency:

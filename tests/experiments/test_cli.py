@@ -70,6 +70,15 @@ class TestParser:
              "--actuators: must be >= 1"),
             (["simulate", "--actuators", "0"], "--actuators: must be >= 1"),
             (["simulate", "--rpm", "-5"], "--rpm: must be finite and > 0"),
+            (["serve", "--max-jobs", "0"], "--max-jobs: must be >= 1"),
+            (["serve", "--poll-interval", "-1"],
+             "--poll-interval: must be finite and > 0"),
+            (["serve", "--workers", "0"], "--workers: must be >= 1"),
+            (["serve", "--lease-timeout", "0"],
+             "--lease-timeout: must be finite and > 0"),
+            (["serve", "--max-attempts", "0"], "--max-attempts: must be >= 1"),
+            (["serve", "--max-restarts", "-1"],
+             "--max-restarts: must be >= 0"),
         ],
     )
     def test_out_of_range_numbers_are_usage_errors(

@@ -58,8 +58,8 @@ print(json.dumps(sorted(sys.modules)))
 
 #: Modules only optional paths use: the sharded kernel, trace
 #: analytics and export, fault injection, the drive variants, MAID,
-#: the thermal model, the DASH extensions and factory, the study
-#: drivers, cost data and the process pools.
+#: the DASH extensions and factory, the study drivers, cost data and
+#: the process pools.
 NOT_ON_A_SERIAL_REPLAY = [
     "repro.sim.sharded",
     "repro.obs.analysis",
@@ -69,9 +69,7 @@ NOT_ON_A_SERIAL_REPLAY = [
     "repro.faults.injector",
     "repro.disk.freeblock",
     "repro.disk.drpm",
-    "repro.disk.defects",
     "repro.raid.maid",
-    "repro.power.thermal",
     "repro.core.extensions",
     "repro.core.factory",
     "repro.experiments.limit_study",
