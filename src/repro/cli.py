@@ -1238,45 +1238,45 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument(
         "--jobs",
-        type=int,
+        type=_int_at_least(1),
         default=4,
         help="unique job specs to submit (default 4)",
     )
     chaos.add_argument(
         "--workers",
-        type=int,
+        type=_int_at_least(1),
         default=2,
         help="serve worker processes (default 2)",
     )
     chaos.add_argument(
         "--requests",
-        type=int,
+        type=_int_at_least(1),
         default=150,
         help="requests per job spec (default 150; campaigns exercise "
         "the queue, not the simulator)",
     )
     chaos.add_argument(
         "--lease-timeout",
-        type=float,
+        type=_positive_float,
         default=2.0,
         help="claim lease in seconds (default 2; short so hang/skew "
         "faults force requeues within the campaign)",
     )
     chaos.add_argument(
         "--max-attempts",
-        type=int,
+        type=_int_at_least(1),
         default=8,
         help="requeue attempts before a job is failed (default 8)",
     )
     chaos.add_argument(
         "--max-restarts",
-        type=int,
+        type=_int_at_least(0),
         default=6,
         help="supervisor restarts of crashed workers (default 6)",
     )
     chaos.add_argument(
         "--recovery-timeout",
-        type=float,
+        type=_positive_float,
         default=120.0,
         help="recovery-phase wall-clock budget in seconds (default "
         "120; exceeding it is an invariant violation)",

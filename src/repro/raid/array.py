@@ -6,8 +6,9 @@ translated into physical slices, issued to the member drives (phase by
 phase, for RAID-5 read-modify-write), and completed when the last slice
 finishes.  The logical request's measurement fields are stamped from
 the slice that finished last, so response-time metrics reflect the
-critical path.  Identity layouts (JBOD, concatenation) instead hand the
-logical request itself to its one drive extent.
+critical path.  A request that its layout locates on exactly one drive
+extent (every JBOD and concatenated request, a RAID-0 request inside one
+stripe unit) is instead handed to that drive itself.
 """
 
 from __future__ import annotations
@@ -19,7 +20,13 @@ from repro.disk.request import IORequest, release_request
 from repro.faults.errors import DataLossError
 from repro.faults.policy import RetryPolicy
 from repro.obs.tracer import tracer_for
-from repro.raid.layout import ConcatLayout, JBODLayout, Layout, Slice
+from repro.raid.layout import (
+    ConcatLayout,
+    JBODLayout,
+    Layout,
+    Raid0Layout,
+    Slice,
+)
 from repro.sim.engine import Environment, Event
 
 __all__ = ["DiskArray"]
@@ -94,23 +101,18 @@ class DiskArray:
         self.unrecovered_requests = 0
         self.aborted_requests = 0
         self._external_feedback = False
-        #: Pre-resolved identity translation for the passthrough
-        #: layouts (JBOD routes by source disk unchanged; concatenation
-        #: lands ``base[source] + lba`` on drive 0) as ``(sources,
-        #: capacities, bases or None)``.  ``submit`` uses it to serve
-        #: the logical request in place on the healthy, policy-free
-        #: path; anything it cannot validate falls back to ``_map`` so
-        #: error behaviour is unchanged.  Exact-type checks: a layout
-        #: subclass may override mapping.
-        self._fast_map: Optional[tuple] = None
-        if type(layout) is JBODLayout:
-            capacities = list(layout.disk_capacities)
-            self._fast_map = (len(capacities), capacities, None)
-        elif type(layout) is ConcatLayout:
-            capacities = list(layout.source_capacities)
-            self._fast_map = (
-                len(capacities), capacities, list(layout._bases)
-            )
+        #: The layout's ``locate``, for the layouts whose single-extent
+        #: requests ``submit`` serves in place on the healthy,
+        #: policy-free path.  Exact-type check: a layout subclass may
+        #: override ``map_request``, so it keeps the clone path.
+        self._locate: Optional[Callable] = (
+            layout.locate
+            if type(layout) in (JBODLayout, ConcatLayout, Raid0Layout)
+            else None
+        )
+        #: Logical LBA of each request served in place, by request id,
+        #: until its drive completion restores it.
+        self._logical_lba: Dict[int, int] = {}
 
     # -- drive-like interface -------------------------------------------------
     @property
@@ -162,29 +164,35 @@ class DiskArray:
 
     def submit(self, request: IORequest) -> Event:
         """Issue a logical request; returns its completion event."""
-        fast = self._fast_map
+        locate = self._locate
         if (
-            fast is not None
+            locate is not None
             and self._failed_disk is None
             and self.retry_policy is None
         ):
-            sources, capacities, bases = fast
-            source = request.source_disk
-            if 0 <= source < sources and (
-                request.lba + request.size <= capacities[source]
-            ):
+            location = locate(
+                request.lba, request.size, request.source_disk
+            )
+            if location is not None:
+                # One drive extent: the drive serves the logical request
+                # itself at the physical address.
+                disk, physical = location
+                logical = request.lba
+                request.lba = physical
+                try:
+                    served = self.drives[disk].submit(request)
+                except ValueError:
+                    # The member rejected the extent: leave the request
+                    # as the caller built it.
+                    request.lba = logical
+                    raise
+                served.callbacks.append(self._finish_in_place)
+                self._logical_lba[request.request_id] = logical
                 completion = Event(self.env)
                 self._outstanding[request.request_id] = completion
-                if bases is None:
-                    drive = self.drives[source]
-                else:
-                    drive = self.drives[0]
-                    request.lba += bases[source]
-                drive.submit(request).callbacks.append(
-                    self._finish_in_place
-                )
                 return completion
-            # Out-of-range extent: let the layout raise its own error.
+            # A fanned-out or invalid extent: map it (and let the
+            # layout raise its own error).
         slices = self._map(request)
         # Direct Event construction: one logical completion per submit,
         # so the env.event() factory frame is pure overhead.
@@ -197,11 +205,10 @@ class DiskArray:
             # byte-for-byte the policy-free controller.
             self.env.process(self._run_retry(request, slices, completion))
         elif len(slices) == 1:
-            # One physical slice (an unstriped RAID-0 access, a layout
-            # subclass's identity map) needs no coordinating process or
-            # AllOf barrier — a completion callback on the drive event
-            # finishes the logical request at the same simulated
-            # instant.
+            # One physical slice (a RAID-1 read, a layout subclass's
+            # map) needs no coordinating process or AllOf barrier — a
+            # completion callback on the drive event finishes the
+            # logical request at the same simulated instant.
             piece = slices[0]
             physical = request.clone_slice(
                 piece.lba,
@@ -223,12 +230,11 @@ class DiskArray:
         """Complete a logical request its drive serviced in place.
 
         The drive stamped the measurements; restore the logical address
-        and ``start_service`` as :meth:`_finish_single` leaves them.
+        (also on a request a member failure already aborted) and
+        ``start_service`` as :meth:`_finish_single` leaves them.
         """
         request = event.value
-        bases = self._fast_map[2]
-        if bases is not None:
-            request.lba -= bases[request.source_disk]
+        request.lba = self._logical_lba.pop(request.request_id)
         completion = self._outstanding.pop(request.request_id, None)
         if completion is None:
             # Failed with DataLossError (member loss) while the drive

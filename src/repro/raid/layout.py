@@ -20,7 +20,7 @@ layouts cover the paper's experiments:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 __all__ = [
     "ConcatLayout",
@@ -84,6 +84,20 @@ class Layout:
     ) -> List[Slice]:
         raise NotImplementedError
 
+    def locate(
+        self, lba: int, size: int, source_disk: int = 0
+    ) -> Optional[Tuple[int, int]]:
+        """``(disk, physical_lba)`` of a single-extent request, else None.
+
+        Returns a location exactly when :meth:`map_request` would return
+        one slice (for either direction), so the array controller can
+        serve the logical request in place.  ``None`` means "use
+        ``map_request``": the extent fans out, or it is invalid and
+        ``map_request`` raises the layout's own error.  The base class
+        never locates.
+        """
+        return None
+
     def _check(self, lba: int, size: int) -> None:
         if lba < 0 or size <= 0:
             raise ValueError(f"bad logical extent lba={lba} size={size}")
@@ -121,6 +135,18 @@ class JBODLayout(Layout):
             )
         return [Slice(source_disk, lba, size, is_read)]
 
+    def locate(
+        self, lba: int, size: int, source_disk: int = 0
+    ) -> Optional[Tuple[int, int]]:
+        if (
+            0 <= source_disk < self.disk_count
+            and 0 <= lba
+            and 0 < size
+            and lba + size <= self.disk_capacities[source_disk]
+        ):
+            return source_disk, lba
+        return None
+
 
 class ConcatLayout(Layout):
     """Concatenate several source address spaces onto one drive.
@@ -134,6 +160,7 @@ class ConcatLayout(Layout):
         if not source_capacities:
             raise ValueError("need at least one source disk")
         self.source_capacities = list(source_capacities)
+        self.sources = len(self.source_capacities)
         self.disk_count = 1
         self._bases: List[int] = []
         base = 0
@@ -153,17 +180,33 @@ class ConcatLayout(Layout):
     def map_request(
         self, lba: int, size: int, is_read: bool, source_disk: int = 0
     ) -> List[Slice]:
-        if not 0 <= source_disk < len(self.source_capacities):
+        if not 0 <= source_disk < self.sources:
             raise ValueError(
                 f"source_disk {source_disk} out of range "
-                f"[0, {len(self.source_capacities)})"
+                f"[0, {self.sources})"
             )
+        if lba < 0 or size <= 0:
+            # A negative offset would otherwise land inside the
+            # previous source disk's band.
+            raise ValueError(f"bad logical extent lba={lba} size={size}")
         if lba + size > self.source_capacities[source_disk]:
             raise ValueError(
                 f"extent [{lba}, {lba + size}) exceeds source disk "
                 f"{source_disk} capacity {self.source_capacities[source_disk]}"
             )
         return [Slice(0, self._bases[source_disk] + lba, size, is_read)]
+
+    def locate(
+        self, lba: int, size: int, source_disk: int = 0
+    ) -> Optional[Tuple[int, int]]:
+        if (
+            0 <= source_disk < self.sources
+            and 0 <= lba
+            and 0 < size
+            and lba + size <= self.source_capacities[source_disk]
+        ):
+            return 0, self._bases[source_disk] + lba
+        return None
 
 
 class InterleavedConcatLayout(Layout):
@@ -278,6 +321,24 @@ class Raid0Layout(Layout):
             cursor += run
             remaining -= run
         return _coalesce(slices)
+
+    def locate(
+        self, lba: int, size: int, source_disk: int = 0
+    ) -> Optional[Tuple[int, int]]:
+        # In place when the extent sits inside one stripe unit; on a
+        # one-member array consecutive units are consecutive rows, so
+        # map_request coalesces any in-range extent into one slice.
+        disks = self.disk_count
+        if lba < 0 or size <= 0 or lba + size > disks * self.disk_capacity:
+            return None
+        if disks == 1:
+            return 0, lba
+        unit = self.stripe_unit
+        offset = lba % unit
+        if offset + size > unit:
+            return None
+        unit_index = lba // unit
+        return unit_index % disks, unit_index // disks * unit + offset
 
 
 class Raid5Layout(Layout):

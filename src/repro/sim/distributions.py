@@ -33,6 +33,11 @@ class RandomStream:
     def seed(self) -> Optional[int]:
         return self._seed
 
+    @property
+    def rng(self) -> random.Random:
+        """The stream's generator, for loops that bind its methods once."""
+        return self._rng
+
     def sample(self) -> float:
         raise NotImplementedError
 

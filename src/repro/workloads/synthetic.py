@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.disk.request import IORequest
+from repro.disk.request import new_request
 from repro.sim.distributions import (
     BernoulliStream,
     ExponentialStream,
@@ -103,31 +103,42 @@ class SyntheticWorkload:
         )
 
     def generate(self, count: int, name: Optional[str] = None) -> Trace:
-        """Produce ``count`` requests as a :class:`Trace`."""
+        """Produce ``count`` requests as a :class:`Trace`.
+
+        Stream-exact: the loop binds each stream's ``Random`` methods
+        once, but makes the calls ``sample``/``sample_int`` would, in
+        the same order: the inter-arrival and read draws on every
+        request, the sequential draw only when the predecessor's end
+        leaves room for a request, and the location draw only when the
+        request is not sequential.  A second call continues the streams.
+        """
         if count <= 0:
             raise ValueError(f"count must be positive, got {count}")
+        interarrival = self._interarrival
+        expovariate = interarrival.rng.expovariate
+        rate = 1.0 / interarrival.mean
+        sequential = self._sequential.rng.random
+        p_sequential = self._sequential.p
+        reads = self._reads.rng.random
+        p_read = self._reads.p
+        randint = self._location.rng.randint
+        low = int(self._location.low)
+        high = int(self._location.high)
+        size = self.request_size_sectors
+        limit = self.footprint_sectors - size
         requests = []
+        append = requests.append
         clock = 0.0
-        previous_end = None
-        limit = self.footprint_sectors - self.request_size_sectors
+        # The first request has no predecessor to continue.
+        previous_end = limit + 1
         for _ in range(count):
-            clock += self._interarrival.sample()
-            if (
-                previous_end is not None
-                and previous_end <= limit
-                and self._sequential.sample()
-            ):
+            clock += expovariate(rate)
+            if previous_end <= limit and sequential() < p_sequential:
                 lba = previous_end
             else:
-                lba = self._location.sample_int()
-            request = IORequest(
-                lba=lba,
-                size=self.request_size_sectors,
-                is_read=self._reads.sample(),
-                arrival_time=clock,
-            )
-            requests.append(request)
-            previous_end = request.end_lba
+                lba = randint(low, high)
+            append(new_request(lba, size, reads() < p_read, clock))
+            previous_end = lba + size
         label = name or (
             f"synthetic-ia{self.mean_interarrival_ms:g}ms-{count}"
         )

@@ -79,6 +79,17 @@ class TestParser:
             (["serve", "--max-attempts", "0"], "--max-attempts: must be >= 1"),
             (["serve", "--max-restarts", "-1"],
              "--max-restarts: must be >= 0"),
+            (["chaos", "--jobs", "0"], "--jobs: must be >= 1"),
+            (["chaos", "--workers", "0"], "--workers: must be >= 1"),
+            (["chaos", "--requests", "0"], "--requests: must be >= 1"),
+            (["chaos", "--max-attempts", "0"],
+             "--max-attempts: must be >= 1"),
+            (["chaos", "--max-restarts", "-2"],
+             "--max-restarts: must be >= 0"),
+            (["chaos", "--lease-timeout", "-1"],
+             "--lease-timeout: must be finite and > 0"),
+            (["chaos", "--recovery-timeout", "nan"],
+             "--recovery-timeout: must be finite and > 0"),
         ],
     )
     def test_out_of_range_numbers_are_usage_errors(

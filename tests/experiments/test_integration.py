@@ -12,9 +12,18 @@ from repro.experiments.bottleneck import run_bottleneck_study
 from repro.experiments.limit_study import run_limit_study
 from repro.experiments.parallel_study import run_parallel_study
 from repro.experiments.raid_study import run_raid_study
+from repro.obs.run import figures_digest
 from repro.workloads.commercial import FINANCIAL, TPCH, WEBSEARCH
 
 REQUESTS = 2500
+
+#: SHA-256 of Figure 8 at 400 requests per cell: every one of the 45
+#: cells' mean, p90, response CDF, total power and ordered response
+#: times.  Any change to the RAID request path that moves a sample, or
+#: reorders two, changes it.
+FIGURE8_400_SHA256 = (
+    "aa862b56d16601484c17864130f3660e53624375e909c141e85d8786b4d54fda"
+)
 
 
 @pytest.fixture(scope="module")
@@ -148,3 +157,19 @@ class TestRaidStudy:
 
     def test_power_scales_with_disk_count(self, result):
         assert result.power(8.0, 1, 4) > 3 * result.power(8.0, 1, 1)
+
+    def test_figure8_is_pinned(self):
+        cells = run_raid_study(requests=400).cells
+        figures = [
+            [
+                list(key),
+                run.mean_response_ms,
+                run.percentile(90),
+                run.response_cdf(),
+                run.power.total_watts,
+                run.collector.response_times,
+            ]
+            for key, run in sorted(cells.items())
+        ]
+        assert len(figures) == 45
+        assert figures_digest(figures) == FIGURE8_400_SHA256

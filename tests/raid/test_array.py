@@ -5,7 +5,12 @@ import pytest
 from repro.disk.drive import ConventionalDrive
 from repro.disk.request import IORequest
 from repro.disk.scheduler import FCFSScheduler, SPTFScheduler
-from repro.experiments.configs import build_hcsd_system, build_md_system
+from repro.experiments.configs import (
+    build_hcsd_system,
+    build_md_system,
+    build_raid0_system,
+)
+from repro.experiments.raid_study import DEFAULT_FOOTPRINT_FRACTION
 from repro.experiments.runner import run_trace
 from repro.raid.array import DiskArray
 from repro.raid.layout import (
@@ -16,6 +21,7 @@ from repro.raid.layout import (
 )
 from repro.sim.engine import Environment
 from repro.workloads.commercial import COMMERCIAL_WORKLOADS
+from repro.workloads.synthetic import SyntheticWorkload
 
 
 def build_array(tiny_spec, disks=2, layout_cls=Raid0Layout, **layout_kwargs):
@@ -80,6 +86,20 @@ class TestCompletion:
         array.submit(IORequest(lba=0, size=8, is_read=True))
         assert array.outstanding == 1
         env.run()
+        assert array.outstanding == 0
+
+
+class TestRejectedExtent:
+    def test_member_rejection_leaves_the_request_as_built(self):
+        # Fig. 8's members are not a whole number of 128-sector stripe
+        # units, so the top of the array's logical space maps past them.
+        env = Environment()
+        array = build_raid0_system(env, 2)
+        lba = array.capacity_sectors() - 8
+        request = IORequest(lba=lba, size=8, is_read=True)
+        with pytest.raises(ValueError, match="exceeds drive capacity"):
+            array.submit(request)
+        assert request.lba == lba
         assert array.outstanding == 0
 
 
@@ -155,6 +175,10 @@ class _SubclassConcat(ConcatLayout):
     """Concatenation's mapping; takes DiskArray's ``_map`` path."""
 
 
+class _SubclassRaid0(Raid0Layout):
+    """RAID-0's striping; takes DiskArray's ``_map`` path."""
+
+
 #: Every field of a completed logical request but ``request_id``.
 _REQUEST_FIELDS = (
     "lba",
@@ -175,18 +199,55 @@ _REQUEST_FIELDS = (
 
 _FINANCIAL = COMMERCIAL_WORKLOADS["financial"]
 
+
+def _financial(system):
+    return _FINANCIAL.generate(2000)
+
+
+def _synthetic(system):
+    """The §7.3 stream at 1 ms arrivals over Fig. 8's footprint."""
+    return SyntheticWorkload(
+        capacity_sectors=system.capacity_sectors(),
+        mean_interarrival_ms=1.0,
+        footprint_fraction=DEFAULT_FOOTPRINT_FRACTION,
+        seed=99,
+    ).generate(2000)
+
+
+def _raid0(disks, actuators):
+    return (
+        lambda env: build_raid0_system(env, disks, actuators=actuators),
+        _synthetic,
+    )
+
+
+#: name -> (system builder, trace for a built system).
 _SYSTEMS = {
-    "md": lambda env: build_md_system(env, _FINANCIAL),
-    "hcsd-fcfs": lambda env: build_hcsd_system(env, _FINANCIAL),
-    "hcsd-sa4-fcfs": lambda env: build_hcsd_system(
-        env, _FINANCIAL, actuators=4
+    "md": (lambda env: build_md_system(env, _FINANCIAL), _financial),
+    "hcsd-fcfs": (
+        lambda env: build_hcsd_system(env, _FINANCIAL), _financial
     ),
-    "hcsd-sptf": lambda env: build_hcsd_system(
-        env, _FINANCIAL, scheduler=SPTFScheduler()
+    "hcsd-sa4-fcfs": (
+        lambda env: build_hcsd_system(env, _FINANCIAL, actuators=4),
+        _financial,
     ),
-    "hcsd-sa4-sptf": lambda env: build_hcsd_system(
-        env, _FINANCIAL, actuators=4, scheduler=SPTFScheduler()
+    "hcsd-sptf": (
+        lambda env: build_hcsd_system(
+            env, _FINANCIAL, scheduler=SPTFScheduler()
+        ),
+        _financial,
     ),
+    "hcsd-sa4-sptf": (
+        lambda env: build_hcsd_system(
+            env, _FINANCIAL, actuators=4, scheduler=SPTFScheduler()
+        ),
+        _financial,
+    ),
+    **{
+        f"raid0-{disks}x-sa{actuators}": _raid0(disks, actuators)
+        for disks in (1, 2, 16)
+        for actuators in (1, 2)
+    },
 }
 
 
@@ -196,10 +257,13 @@ def financial_trace():
 
 
 class TestIdentityMappingInPlace:
-    """JBOD and concatenation serve the logical request itself.
+    """A request on one drive extent is served as the logical request.
 
-    Financial's 24 source disks give the HC-SD concatenation non-zero
-    bases.  A trivial layout subclass keeps the clone-per-slice path,
+    That is every JBOD and concatenated request, and every RAID-0
+    request inside one stripe unit.  Financial's 24 source disks give
+    the HC-SD concatenation non-zero bases; Fig. 8's RAID-0 arrays
+    replay the §7.3 stream, whose requests sometimes straddle a stripe
+    unit.  A trivial layout subclass keeps the clone-per-slice path,
     which must produce the same requests, figures and event count.
     """
 
@@ -210,6 +274,12 @@ class TestIdentityMappingInPlace:
             layout = system.layout
             if type(layout) is ConcatLayout:
                 layout = _SubclassConcat(layout.source_capacities)
+            elif type(layout) is Raid0Layout:
+                layout = _SubclassRaid0(
+                    layout.disk_count,
+                    layout.disk_capacity,
+                    layout.stripe_unit,
+                )
             else:
                 layout = _SubclassJBOD(layout.disk_capacities)
             system = DiskArray(env, system.drives, layout, label=system.label)
@@ -243,29 +313,51 @@ class TestIdentityMappingInPlace:
         return rows, figures, env.total_events, len(clones)
 
     @pytest.mark.parametrize("name", sorted(_SYSTEMS))
-    def test_matches_clone_path(self, name, financial_trace, monkeypatch):
-        build = _SYSTEMS[name]
+    def test_matches_clone_path(self, name, monkeypatch):
+        build, make_trace = _SYSTEMS[name]
+        system = build(Environment())
+        trace = make_trace(system)
+        slices = [
+            len(system.layout.map_request(
+                request.lba, request.size, request.is_read,
+                request.source_disk,
+            ))
+            for request in trace
+        ]
         rows, figures, events, clones = self.replay(
-            build, financial_trace, monkeypatch, subclass=False
+            build, trace, monkeypatch, subclass=False
         )
         (
             clone_rows,
             clone_figures,
             clone_events,
             clone_clones,
-        ) = self.replay(build, financial_trace, monkeypatch, subclass=True)
-        assert len(rows) == len(financial_trace) == 2000
+        ) = self.replay(build, trace, monkeypatch, subclass=True)
+        assert len(rows) == len(trace) == 2000
         assert rows == clone_rows
         assert figures == clone_figures
         assert events == clone_events
-        # The runner's trace copy, plus one slice clone per request on
-        # the clone path.
-        assert clones == 2000
-        assert clone_clones == 4000
+        # The runner's copy of each request, plus one clone per slice
+        # of each straddling request in place, and one clone per slice
+        # of every request on the clone path.
+        assert clones == 2000 + sum(n for n in slices if n > 1)
+        assert clone_clones == 2000 + sum(slices)
 
     def test_concat_bases_are_exercised(self, financial_trace):
         env = Environment()
-        system = _SYSTEMS["hcsd-fcfs"](env)
+        system = _SYSTEMS["hcsd-fcfs"][0](env)
         assert type(system.layout) is ConcatLayout
         sources = {request.source_disk for request in financial_trace}
         assert any(system.layout.base_of(source) for source in sources)
+
+    def test_raid0_stream_straddles_some_units(self):
+        build, make_trace = _SYSTEMS["raid0-16x-sa2"]
+        system = build(Environment())
+        slices = [
+            len(system.layout.map_request(
+                request.lba, request.size, request.is_read
+            ))
+            for request in make_trace(system)
+        ]
+        straddling = sum(1 for n in slices if n > 1)
+        assert 0 < straddling < len(slices) // 4

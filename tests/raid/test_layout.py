@@ -242,3 +242,74 @@ class TestInterleavedConcat:
             layout.map_request(995, 10, True, source_disk=0)
         with pytest.raises(ValueError):
             layout.map_request(0, 10, True, source_disk=5)
+
+
+@st.composite
+def _located_extents(draw):
+    """A JBOD, concat or RAID-0 layout and an extent near its edges.
+
+    Extents straddle stripe units, touch the last sector, run past the
+    capacity of their source, name a bad source disk, or are empty or
+    negative.
+    """
+    kind = draw(st.sampled_from(["jbod", "concat", "raid0"]))
+    members = draw(st.integers(1, 16))
+    if kind == "raid0":
+        unit = draw(st.integers(1, 256))
+        layout = Raid0Layout(
+            members, draw(st.integers(1, 4096)), stripe_unit=unit
+        )
+        source = draw(st.integers(-1, 2))
+        space = layout.capacity_sectors()
+    else:
+        unit = draw(st.integers(1, 256))
+        capacities = draw(
+            st.lists(st.integers(1, 4096), min_size=members,
+                     max_size=members)
+        )
+        layout = (JBODLayout if kind == "jbod" else ConcatLayout)(
+            capacities
+        )
+        source = draw(st.integers(-1, members))
+        space = capacities[source] if 0 <= source < members else 4096
+    edge = draw(st.sampled_from(["unit", "end", "anywhere"]))
+    lba = draw(st.integers(-2, space + 2))
+    if edge == "unit":
+        # End one sector short of, at or past a stripe-unit boundary.
+        boundary = (max(lba, 0) // unit + draw(st.integers(0, 2))) * unit
+        size = boundary - lba + draw(st.integers(-1, 1))
+    elif edge == "end":
+        # End one sector short of, at or past the last sector.
+        lba = space - draw(st.integers(0, 300))
+        size = space - lba + draw(st.integers(-1, 1))
+    else:
+        size = draw(st.integers(0, 300))
+    return layout, lba, size, source, draw(st.booleans())
+
+
+class TestLocate:
+    @given(case=_located_extents())
+    @settings(max_examples=600, deadline=None)
+    def test_locate_agrees_with_map_request(self, case):
+        layout, lba, size, source, is_read = case
+        try:
+            slices = layout.map_request(lba, size, is_read, source)
+        except ValueError:
+            slices = []
+        located = layout.locate(lba, size, source)
+        if len(slices) == 1:
+            assert located == (slices[0].disk, slices[0].lba)
+        else:
+            assert located is None
+
+    def test_base_layout_never_locates(self):
+        # A RAID-5 read maps to one slice, but the layout keeps the
+        # base class's locate.
+        layout = Raid5Layout(4, 10_000, stripe_unit=16)
+        assert len(layout.map_request(0, 8, True)) == 1
+        assert layout.locate(0, 8) is None
+
+    def test_concat_rejects_negative_offsets(self):
+        # Offset -50 of source 1 would land inside source 0's band.
+        with pytest.raises(ValueError):
+            ConcatLayout([100, 200]).map_request(-50, 8, True, 1)

@@ -195,12 +195,13 @@ class TestRebuildGuards:
 class TestNonRedundantFailure:
     """A member failure on a layout without redundancy loses the data.
 
-    JBOD and concatenation serve a logical request in place on its
-    drive, RAID-0 through a cloned slice; either way the in-flight
+    JBOD, concatenation and RAID-0 (the request fits one stripe unit)
+    serve a logical request in place on its drive; the in-flight
     request fails with DataLossError and the drive's late completion
     changes nothing but the request's address, which reads logical
     again.  The request sits on source disk 1, so concatenation maps
-    it at a non-zero base.
+    it at a non-zero base, and in RAID-0's third stripe unit, so its
+    drive address differs too.
     """
 
     @pytest.fixture(params=["raid0", "jbod", "concat"])

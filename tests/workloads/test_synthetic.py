@@ -1,7 +1,13 @@
 """Tests for the DiskSim-style synthetic generator."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.sim.distributions import (
+    BernoulliStream,
+    ExponentialStream,
+    UniformStream,
+)
 from repro.workloads.synthetic import SyntheticWorkload
 
 CAPACITY = 1_000_000
@@ -87,3 +93,87 @@ class TestFootprint:
     def test_custom_name(self):
         trace = make().generate(10, name="custom")
         assert trace.name == "custom"
+
+
+class _ReferenceGenerator:
+    """The request-at-a-time loop, written against the public streams."""
+
+    def __init__(self, workload):
+        base = workload.seed if workload.seed is not None else 0
+        self.workload = workload
+        self.interarrival = ExponentialStream(
+            workload.mean_interarrival_ms, seed=base
+        )
+        self.reads = BernoulliStream(workload.read_fraction, seed=base + 1)
+        self.sequential = BernoulliStream(
+            workload.sequential_fraction, seed=base + 2
+        )
+        self.location = UniformStream(
+            0,
+            workload.footprint_sectors - workload.request_size_sectors - 1,
+            seed=base + 3,
+        )
+
+    def generate(self, count):
+        size = self.workload.request_size_sectors
+        limit = self.workload.footprint_sectors - size
+        rows = []
+        clock = 0.0
+        previous_end = None
+        for _ in range(count):
+            clock += self.interarrival.sample()
+            if (
+                previous_end is not None
+                and previous_end <= limit
+                and self.sequential.sample()
+            ):
+                lba = previous_end
+            else:
+                lba = self.location.sample_int()
+            rows.append((lba, size, self.reads.sample(), clock, 0, False))
+            previous_end = lba + size
+        return rows
+
+
+def _rows(trace):
+    return [
+        (r.lba, r.size, r.is_read, r.arrival_time, r.source_disk,
+         r.background)
+        for r in trace
+    ]
+
+
+class TestStreamExact:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31),
+        read_fraction=st.floats(0.0, 1.0),
+        sequential_fraction=st.floats(0.0, 1.0),
+        footprint_fraction=st.floats(0.001, 1.0),
+        size=st.integers(1, 256),
+        counts=st.tuples(st.integers(1, 200), st.integers(1, 200)),
+    )
+    def test_generate_matches_the_public_stream_loop(
+        self, seed, read_fraction, sequential_fraction,
+        footprint_fraction, size, counts,
+    ):
+        workload = make(
+            seed=seed,
+            read_fraction=read_fraction,
+            sequential_fraction=sequential_fraction,
+            footprint_fraction=footprint_fraction,
+            request_size_sectors=size,
+        )
+        reference = _ReferenceGenerator(workload)
+        # The second call continues every stream where the first left it.
+        for count in counts:
+            trace = workload.generate(count)
+            assert _rows(trace) == reference.generate(count)
+            first = trace.requests[0].request_id
+            assert [r.request_id for r in trace] == list(
+                range(first, first + count)
+            )
+            assert all(
+                r.start_service is None and r.completion_time is None
+                for r in trace
+            )
