@@ -482,14 +482,18 @@ def _report_analysis(args) -> None:
     else:
         from repro.obs.run import trace_experiment
 
+        requests, workers, actuators = (
+            default if getattr(args, dest) is None else getattr(args, dest)
+            for dest, default in _TRACED_RUN_DEFAULTS.items()
+        )
         run = trace_experiment(
             args.experiment,
-            requests=args.requests,
-            n_workers=args.workers,
-            actuators=args.actuators,
+            requests=requests,
+            n_workers=workers,
+            actuators=actuators,
         )
         tracer = run.tracer
-        title = f"Trace analysis: {args.experiment} ({args.requests} requests)"
+        title = f"Trace analysis: {args.experiment} ({requests} requests)"
         tolerance = 0.0
     analysis = analyze(tracer)
     if args.scope:
@@ -908,18 +912,47 @@ TRACEABLE = (
 _TRACE_FORMATS = ("disksim", "spc1", "blktrace")
 
 
-def _add_traced_run_flags(command) -> None:
+#: Defaults of the traced-run flags.
+_TRACED_RUN_DEFAULTS = {"requests": 1000, "workers": 1, "actuators": 4}
+
+
+class _ReportSource(argparse.Action):
+    """Store a ``report`` flag that only one source of report reads.
+
+    ``--from-trace`` analyses a finished trace, so the traced-run flags
+    may not go with it, in either order.  argparse's groups cannot tie
+    options to one member of a group, so each flag checks the others.
+    """
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if self.dest == "from_trace":
+            others = list(_TRACED_RUN_DEFAULTS)
+        else:
+            others = ["from_trace"]
+        for dest in others:
+            if getattr(namespace, dest) is not None:
+                flag = "--" + dest.replace("_", "-")
+                raise argparse.ArgumentError(
+                    self, f"not allowed with argument {flag}"
+                )
+        setattr(namespace, self.dest, values)
+
+
+def _add_traced_run_flags(command, action="store") -> None:
     """``--requests``/``--workers``/``--actuators`` of a traced run."""
+    defaults = _TRACED_RUN_DEFAULTS
     command.add_argument(
         "--requests",
         type=_int_at_least(1),
-        default=1000,
+        default=defaults["requests"],
+        action=action,
         help="requests per traced run (default 1000)",
     )
     command.add_argument(
         "--workers",
         type=_int_at_least(0),
-        default=1,
+        default=defaults["workers"],
+        action=action,
         help=(
             "worker processes (default 1; 0 = all cores); worker "
             "traces are merged, figures identical for any count"
@@ -928,7 +961,8 @@ def _add_traced_run_flags(command) -> None:
     command.add_argument(
         "--actuators",
         type=_int_at_least(1),
-        default=4,
+        default=defaults["actuators"],
+        action=action,
         help=(
             "arm count of the supplementary HC-SD-SA(n) runs "
             "(limit_study) and RAID members (rebuild); default 4"
@@ -1314,9 +1348,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--from-trace",
         metavar="PATH",
         default=None,
+        action=_ReportSource,
         help=(
             "analyse a previously exported Chrome trace-event JSON "
-            "instead of running an experiment"
+            "instead of running an experiment (takes none of "
+            "--requests/--workers/--actuators)"
         ),
     )
     report.add_argument(
@@ -1339,7 +1375,10 @@ def build_parser() -> argparse.ArgumentParser:
             "prefix (e.g. 'HC-SD' or 'MD-websearch')"
         ),
     )
-    _add_traced_run_flags(report)
+    _add_traced_run_flags(report, action=_ReportSource)
+    # ``None`` marks a run flag as not given; the handler applies the
+    # defaults.
+    report.set_defaults(**dict.fromkeys(_TRACED_RUN_DEFAULTS))
     _add_flags(report, "metrics")
 
     serve = sub.add_parser(

@@ -225,7 +225,9 @@ class ConventionalDrive:
         ] = None
 
         self._pending: List[IORequest] = []
-        self._completions: Dict[int, Event] = {}
+        #: Request id -> completer: the ``done`` callable given to
+        #: :meth:`submit`, or the ``settle`` of the event it returned.
+        self._completions: Dict[int, Callable[[IORequest], None]] = {}
         self._wakeup: Optional[Event] = None
         #: End cylinder of the last media access, whichever arm served
         #: it: the head position the queue schedulers see.
@@ -264,17 +266,32 @@ class ConventionalDrive:
     def actuator_count(self) -> int:
         return len(self.arms)
 
-    def submit(self, request: IORequest) -> Event:
-        """Queue a request; returns an event that fires on completion."""
+    def submit(
+        self,
+        request: IORequest,
+        done: Optional[Callable[[IORequest], None]] = None,
+    ) -> Optional[Event]:
+        """Queue a request.
+
+        Without ``done``, returns an event that triggers on completion
+        with the request as its value (settled in place when nothing
+        waits on it; see :meth:`~repro.sim.engine.Event.settle`).  With
+        ``done``, no event is created: the drive calls ``done(request)``
+        at the completion instant and returns ``None``.
+        """
         if request.lba + request.size > self.geometry.total_sectors:
             raise ValueError(
                 f"{request} exceeds drive capacity "
                 f"({self.geometry.total_sectors} sectors)"
             )
-        # Direct Event construction: submit runs once per physical
-        # request, so the env.event() factory frame is worth skipping.
-        completion = Event(self.env)
-        self._completions[request.request_id] = completion
+        completion = None
+        if done is None:
+            # Direct Event construction: submit runs once per physical
+            # request, so the env.event() factory frame is worth
+            # skipping.
+            completion = Event(self.env)
+            done = completion.settle
+        self._completions[request.request_id] = done
         self._pending.append(request)
         wakeup = self._wakeup
         if wakeup is not None and not wakeup.triggered:
@@ -862,11 +879,19 @@ class ConventionalDrive:
             self.cache.invalidate(request.lba, request.size)
 
     def _complete(self, request: IORequest) -> None:
+        """Finish ``request`` at the instant its service timeout fires.
+
+        The :attr:`on_complete` callbacks run first, in registration
+        order, and then the request's completer (``done`` or its
+        completion event's ``settle``), so an observer sees the request
+        as the drive left it before the layer above finishes it.
+        """
         request.completion_time = self.env._now
         stats = self.stats
         stats.requests_completed += 1
         if request.is_read:
             stats.reads_completed += 1
-        self._completions.pop(request.request_id).succeed(request)
+        done = self._completions.pop(request.request_id)
         for callback in self.on_complete:
             callback(request)
+        done(request)

@@ -114,8 +114,8 @@ class DynamicRpmDrive(ConventionalDrive):
         self._residency_marker = now
 
     # -- control loop -------------------------------------------------------
-    def submit(self, request):
-        event = super().submit(request)
+    def submit(self, request, done=None):
+        event = super().submit(request, done)
         if self._control_wakeup is not None and (
             not self._control_wakeup.triggered
         ):

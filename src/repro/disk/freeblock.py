@@ -30,7 +30,7 @@ be drained explicitly.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.disk.drive import ConventionalDrive
 from repro.disk.request import IORequest
@@ -85,21 +85,36 @@ class FreeblockDrive(ConventionalDrive):
         self.windows_missed = 0
 
     # -- submission -----------------------------------------------------------
-    def submit(self, request: IORequest) -> Event:
+    def submit(
+        self,
+        request: IORequest,
+        done: Optional[Callable[[IORequest], None]] = None,
+    ) -> Optional[Event]:
         if request.background:
-            return self.submit_background(request)
-        return super().submit(request)
+            return self.submit_background(request, done)
+        return super().submit(request, done)
 
-    def submit_background(self, request: IORequest) -> Event:
-        """Queue best-effort work for rotational-window servicing."""
+    def submit_background(
+        self,
+        request: IORequest,
+        done: Optional[Callable[[IORequest], None]] = None,
+    ) -> Optional[Event]:
+        """Queue best-effort work for rotational-window servicing.
+
+        Completion is reported as :meth:`submit` reports it: through
+        ``done`` when given, else through the returned event.
+        """
         if request.lba + request.size > self.geometry.total_sectors:
             raise ValueError(
                 f"{request} exceeds drive capacity "
                 f"({self.geometry.total_sectors} sectors)"
             )
         request.background = True
-        completion = self.env.event()
-        self._completions[request.request_id] = completion
+        completion = None
+        if done is None:
+            completion = self.env.event()
+            done = completion.settle
+        self._completions[request.request_id] = done
         self._background.append(request)
         return completion
 

@@ -8,7 +8,11 @@ finishes.  The logical request's measurement fields are stamped from
 the slice that finished last, so response-time metrics reflect the
 critical path.  A request that its layout locates on exactly one drive
 extent (every JBOD and concatenated request, a RAID-0 request inside one
-stripe unit) is instead handed to that drive itself.
+stripe unit) is instead handed to that drive itself.  A one-slice
+request, served in place or cloned, is finished by the drive calling
+the array's finisher, and every logical completion is settled
+(:meth:`~repro.sim.engine.Event.settle`), so a completion nobody waits
+on costs no engine event.
 """
 
 from __future__ import annotations
@@ -180,13 +184,12 @@ class DiskArray:
                 logical = request.lba
                 request.lba = physical
                 try:
-                    served = self.drives[disk].submit(request)
+                    self.drives[disk].submit(request, self._finish_in_place)
                 except ValueError:
                     # The member rejected the extent: leave the request
                     # as the caller built it.
                     request.lba = logical
                     raise
-                served.callbacks.append(self._finish_in_place)
                 self._logical_lba[request.request_id] = logical
                 completion = Event(self.env)
                 self._outstanding[request.request_id] = completion
@@ -194,6 +197,7 @@ class DiskArray:
             # A fanned-out or invalid extent: map it (and let the
             # layout raise its own error).
         slices = self._map(request)
+        self._check_capacity(request, slices)
         # Direct Event construction: one logical completion per submit,
         # so the env.event() factory frame is pure overhead.
         completion = Event(self.env)
@@ -206,9 +210,9 @@ class DiskArray:
             self.env.process(self._run_retry(request, slices, completion))
         elif len(slices) == 1:
             # One physical slice (a RAID-1 read, a layout subclass's
-            # map) needs no coordinating process or AllOf barrier — a
-            # completion callback on the drive event finishes the
-            # logical request at the same simulated instant.
+            # map) needs no coordinating process or AllOf barrier — the
+            # drive calls the finisher at the slice's completion
+            # instant, as it does for a request served in place.
             piece = slices[0]
             physical = request.clone_slice(
                 piece.lba,
@@ -217,23 +221,41 @@ class DiskArray:
                 self.env._now,
                 piece.disk,
             )
-            self.drives[piece.disk].submit(physical).callbacks.append(
-                lambda event: self._finish_single(
-                    request, physical, completion
-                )
+            self.drives[piece.disk].submit(
+                physical,
+                lambda served: self._finish_single(
+                    request, served, completion
+                ),
             )
         else:
             self.env.process(self._run(request, slices, completion))
         return completion
 
-    def _finish_in_place(self, event: Event) -> None:
+    def _check_capacity(
+        self, request: IORequest, slices: List[Slice]
+    ) -> None:
+        """Reject a mapping with a slice past its member's last sector.
+
+        The check and error of the member's ``submit``, made before
+        anything is registered, so a rejected request leaves nothing
+        outstanding.
+        """
+        for piece in slices:
+            capacity = self.drives[piece.disk].geometry.total_sectors
+            if piece.lba + piece.size > capacity:
+                raise ValueError(
+                    f"{request}: {piece} exceeds drive capacity "
+                    f"({capacity} sectors)"
+                )
+
+    def _finish_in_place(self, request: IORequest) -> None:
         """Complete a logical request its drive serviced in place.
 
-        The drive stamped the measurements; restore the logical address
-        (also on a request a member failure already aborted) and
-        ``start_service`` as :meth:`_finish_single` leaves them.
+        The drive calls this at the completion instant, having stamped
+        the measurements; restore the logical address (also on a
+        request a member failure already aborted) and ``start_service``
+        as :meth:`_finish_single` leaves them.
         """
-        request = event.value
         request.lba = self._logical_lba.pop(request.request_id)
         completion = self._outstanding.pop(request.request_id, None)
         if completion is None:
@@ -244,7 +266,7 @@ class DiskArray:
         self.requests_completed += 1
         if self.tracer.enabled:
             self._record_logical_span(request, slices=1, phases=1)
-        completion.succeed(request)
+        completion.settle(request)
         for callback in self.on_complete:
             callback(request)
 
@@ -278,7 +300,7 @@ class DiskArray:
         self._outstanding.pop(request.request_id, None)
         if self.tracer.enabled:
             self._record_logical_span(request, slices=1, phases=1)
-        completion.succeed(request)
+        completion.settle(request)
         for callback in self.on_complete:
             callback(request)
 
@@ -581,7 +603,7 @@ class DiskArray:
             self._record_logical_span(
                 request, slices=len(slices), phases=len(phases)
             )
-        completion.succeed(request)
+        completion.settle(request)
         for callback in self.on_complete:
             callback(request)
 
@@ -637,7 +659,7 @@ class DiskArray:
             self._record_logical_span(
                 request, slices=len(slices), phases=len(phases)
             )
-        completion.succeed(request)
+        completion.settle(request)
         for callback in self.on_complete:
             callback(request)
 

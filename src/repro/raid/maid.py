@@ -154,11 +154,12 @@ class MaidArray(DiskArray):
             yield state.ready_event
 
     def submit(self, request: IORequest) -> Event:
+        slices = self._map(request)
+        self._check_capacity(request, slices)
         if self._controller_wakeup is not None and (
             not self._controller_wakeup.triggered
         ):
             self._controller_wakeup.succeed()
-        slices = self._map(request)
         completion = self.env.event()
         self._outstanding[request.request_id] = completion
         self.env.process(self._run_with_spinup(request, slices, completion))

@@ -12,7 +12,7 @@ The engine is deliberately small and deterministic:
   when a yielded event triggers, the process is resumed with the event's
   value (or the event's exception is thrown into it).
 
-Three fast paths keep the hot loop lean without changing the total
+Four fast paths keep the hot loop lean without changing the total
 order or any observable value:
 
 * **Timeout pooling** — :meth:`Environment.timeout` recycles fired
@@ -33,6 +33,10 @@ order or any observable value:
   waiting on; the dead heap entry stays put and is discarded when it
   surfaces.  Orphans are counted so :attr:`Environment.scheduled_events`
   (the live queue depth) never drifts.
+* **Settling in place** — :meth:`Event.settle` triggers an event that
+  no process waits on and no callback watches without scheduling it:
+  the event is processed at once, so its dispatch costs no heap entry
+  and every other event keeps its relative order.
 """
 
 from __future__ import annotations
@@ -130,6 +134,34 @@ class Event:
         env = self.env
         env._eid += 1
         heappush(env._queue, (env._now, NORMAL, env._eid, self))
+        return self
+
+    def settle(self, value: Any = None) -> "Event":
+        """Trigger the event with ``value``; skip the schedule when
+        nothing watches it.
+
+        With a waiting process or a callback the event is scheduled
+        exactly as :meth:`succeed` would schedule it.  Otherwise it is
+        processed in place: it takes no heap entry and no sequence
+        number, and a process that yields it later continues at once
+        with ``value``.  Dropping an unwatched dispatch changes the
+        order of no other event.
+        """
+        if self._ok is not None:
+            raise SimulationError("event already triggered")
+        self._ok = True
+        self._value = value
+        env = self.env
+        if self._waiter is not None or self.callbacks:
+            env._eid += 1
+            heappush(env._queue, (env._now, NORMAL, env._eid, self))
+            return self
+        self.callbacks = None
+        if self._stale:
+            # Orphaned by an interrupt while pending: it will never
+            # reach the heap, so release its stale count here.
+            self._stale = False
+            env._stale_events -= 1
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -455,7 +487,11 @@ class Environment:
 
     @property
     def total_events(self) -> int:
-        """Total events ever scheduled (the bench's events/sec basis)."""
+        """Total events ever scheduled (the bench's events/sec basis).
+
+        An event settled in place (:meth:`Event.settle` with nothing
+        watching) is never scheduled and is not counted.
+        """
         return self._eid
 
     @property

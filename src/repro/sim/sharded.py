@@ -116,7 +116,9 @@ class _ShardProxy:
         self._index = index
         self._shadow = shadow
 
-    def submit(self, request: Any) -> Event:
+    def submit(
+        self, request: Any, done: Optional[Callable[[Any], None]] = None
+    ) -> Optional[Event]:
         # Mirror ConventionalDrive.submit's eager capacity check so a
         # bad extent raises in the submitting frame, as serially.
         if request.lba + request.size > self._shadow.geometry.total_sectors:
@@ -124,7 +126,7 @@ class _ShardProxy:
                 f"{request} exceeds drive capacity "
                 f"({self._shadow.geometry.total_sectors} sectors)"
             )
-        return self._engine._submit(self._shard, self._index, request)
+        return self._engine._submit(self._shard, self._index, request, done)
 
     def inject_media_error(
         self, attempts: int = 1, lba: Optional[int] = None
@@ -394,6 +396,21 @@ def _shard_worker_main(
 # ---------------------------------------------------------------------------
 
 
+class _DoneEvent(Event):
+    """The completion injected for a submission made with ``done``.
+
+    It holds ``done`` in a slot and calls it through one shared
+    callback, so a submission costs no closure and its record can go
+    at injection, as for an event the proxy returned.
+    """
+
+    __slots__ = ("done",)
+
+    @staticmethod
+    def fire(event: "_DoneEvent") -> None:
+        event.done(event._value)
+
+
 class _Pending:
     """One submitted-but-not-yet-injected physical request."""
 
@@ -476,7 +493,13 @@ class ShardedEngine:
         }
 
     # -- proxy callbacks ----------------------------------------------------
-    def _submit(self, shard: int, index: int, request: Any) -> Event:
+    def _submit(
+        self,
+        shard: int,
+        index: int,
+        request: Any,
+        done: Optional[Callable[[Any], None]] = None,
+    ) -> Optional[Event]:
         if self._runahead_shipped:
             # Run-ahead shipped the complete submission schedule in the
             # first window; a later submission means the controller
@@ -486,7 +509,12 @@ class ShardedEngine:
                 "needs lockstep but was classified feedback-free "
                 "(is an external actor missing declare_external_feedback?)"
             )
-        completion = Event(self.env)
+        if done is None:
+            completion = Event(self.env)
+        else:
+            completion = _DoneEvent(self.env)
+            completion.done = done
+            completion.callbacks.append(_DoneEvent.fire)
         seq = self._seq
         self._seq += 1
         record = _Pending(
@@ -496,7 +524,7 @@ class ShardedEngine:
         self._outbox_subs[shard].append(
             (seq, index, request, self.env._now)
         )
-        return completion
+        return completion if done is None else None
 
     def _control(self, shard: int, index: int, op: Tuple) -> None:
         self._outbox_ctls[shard].append((index, op, self.env._now))

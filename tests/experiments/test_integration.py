@@ -8,12 +8,21 @@ reproduction's core results.
 
 import pytest
 
+from repro.disk.scheduler import SPTFScheduler
 from repro.experiments.bottleneck import run_bottleneck_study
+from repro.experiments.configs import build_hcsd_system
 from repro.experiments.limit_study import run_limit_study
 from repro.experiments.parallel_study import run_parallel_study
 from repro.experiments.raid_study import run_raid_study
+from repro.experiments.runner import run_trace
 from repro.obs.run import figures_digest
-from repro.workloads.commercial import FINANCIAL, TPCH, WEBSEARCH
+from repro.sim.engine import Environment
+from repro.workloads.commercial import (
+    COMMERCIAL_WORKLOADS,
+    FINANCIAL,
+    TPCH,
+    WEBSEARCH,
+)
 
 REQUESTS = 2500
 
@@ -25,12 +34,51 @@ FIGURE8_400_SHA256 = (
     "aa862b56d16601484c17864130f3660e53624375e909c141e85d8786b4d54fda"
 )
 
+#: SHA-256 of Figures 2, 3 and 5 at 400 requests per run: the limit
+#: study (MD, HC-SD), the parallel study (MD, HC-SD-SA(1-4)) and the
+#: four HC-SD-SA(4) runs under queue-level SPTF, each run's mean, p90,
+#: total power and ordered response times.  These runs serve JBOD and
+#: concatenated requests in place, so a change that moves a sample, or
+#: reorders two completions of one instant, changes it.
+FIGURES_2_3_5_400_SHA256 = (
+    "1daa8bc38b3e35de46db2599fd7c88346ab6c20f0f45a27a8f5043a7623fe833"
+)
+
 
 @pytest.fixture(scope="module")
 def limit_results():
     return run_limit_study(
         workloads=[WEBSEARCH, TPCH], requests=REQUESTS
     )
+
+
+def _pinned(run):
+    return [
+        run.mean_response_ms,
+        run.percentile(90),
+        run.power.total_watts,
+        run.collector.response_times,
+    ]
+
+
+def test_figures_2_3_5_are_pinned():
+    figures = []
+    for name, result in sorted(run_limit_study(requests=400).items()):
+        figures.append(["fig2/3", name, _pinned(result.md),
+                        _pinned(result.hcsd)])
+    for name, result in sorted(run_parallel_study(requests=400).items()):
+        figures.append(["fig5", name, "md", _pinned(result.md)])
+        for actuators, run in sorted(result.by_actuators.items()):
+            figures.append(["fig5", name, actuators, _pinned(run)])
+    for name, workload in sorted(COMMERCIAL_WORKLOADS.items()):
+        env = Environment()
+        system = build_hcsd_system(
+            env, workload, actuators=4, scheduler=SPTFScheduler()
+        )
+        run = run_trace(env, system, workload.generate(400))
+        figures.append(["sptf", name, _pinned(run)])
+    assert len(figures) == 28
+    assert figures_digest(figures) == FIGURES_2_3_5_400_SHA256
 
 
 class TestLimitStudy:

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.experiments.configs import build_hcsd_system
 from repro.experiments.runner import run_trace
 from repro.obs.analysis import TraceAnalysis, analyze
@@ -204,6 +204,30 @@ class TestReportCli:
                 main(argv)
             assert stop.value.code == 2
             assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--requests", "5"), ("--workers", "2"),
+                        ("--actuators", "3"), ("--workers", "1")]
+    )
+    def test_from_trace_takes_no_run_flags(self, flag, value, capsys):
+        # Either order; a flag given at its default value counts too.
+        for argv, message in (
+            (["report", "--from-trace", "t.json", flag, value],
+             f"argument {flag}: not allowed with argument --from-trace"),
+            (["report", flag, value, "--from-trace", "t.json"],
+             f"argument --from-trace: not allowed with argument {flag}"),
+        ):
+            with pytest.raises(SystemExit) as stop:
+                build_parser().parse_args(argv)
+            assert stop.value.code == 2
+            assert message in capsys.readouterr().err
+
+    def test_live_report_reads_run_flags(self):
+        args = build_parser().parse_args(
+            ["report", "limit_study", "--requests", "5", "--workers", "2",
+             "--actuators", "3"]
+        )
+        assert (args.requests, args.workers, args.actuators) == (5, 2, 3)
 
     def test_unknown_experiment(self, capsys):
         with pytest.raises(SystemExit) as stop:

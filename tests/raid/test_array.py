@@ -102,6 +102,31 @@ class TestRejectedExtent:
         assert request.lba == lba
         assert array.outstanding == 0
 
+    @pytest.mark.parametrize(
+        "size", [8, 136], ids=["one-slice", "straddles-into-partial-row"]
+    )
+    def test_clone_path_rejects_before_registering(self, size):
+        # A layout subclass maps every request through slices; a slice
+        # past its member's end must fail submit, not the run.
+        env = Environment()
+        system = build_raid0_system(env, 2)
+        layout = system.layout
+        array = DiskArray(
+            env,
+            system.drives,
+            _SubclassRaid0(
+                layout.disk_count, layout.disk_capacity, layout.stripe_unit
+            ),
+        )
+        lba = array.capacity_sectors() - size
+        request = IORequest(lba=lba, size=size, is_read=True)
+        with pytest.raises(ValueError, match="exceeds drive capacity"):
+            array.submit(request)
+        assert request.lba == lba
+        assert array.outstanding == 0
+        env.run()
+        assert all(drive.outstanding == 0 for drive in array.drives)
+
 
 class TestJbodRouting:
     def test_source_disk_routing(self, tiny_spec):

@@ -37,6 +37,25 @@ class TestValidation:
             build(tiny_spec, standby_watts=-1)
 
 
+class TestRejectedExtent:
+    def test_member_rejection_raises_from_submit(self, tiny_spec):
+        # A layout sized past its members maps the top extent beyond
+        # member 0's last sector.
+        env = Environment()
+        members = [
+            ConventionalDrive(env, tiny_spec, scheduler=FCFSScheduler())
+            for _ in range(2)
+        ]
+        capacity = members[0].geometry.total_sectors
+        array = MaidArray(env, members, JBODLayout([capacity + 8] * 2))
+        request = IORequest(lba=capacity, size=8, is_read=True)
+        with pytest.raises(ValueError, match="exceeds drive capacity"):
+            array.submit(request)
+        assert request.lba == capacity
+        assert array.outstanding == 0
+        env.run()
+
+
 class TestSpinDown:
     def test_idle_members_spin_down(self, tiny_spec):
         env, array = build(tiny_spec)

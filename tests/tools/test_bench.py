@@ -31,6 +31,12 @@ COMMITTED_PATH = os.path.join(
 with open(COMMITTED_PATH, encoding="utf-8") as _handle:
     COMMITTED = json.load(_handle)
 
+#: The snapshot CI gates against: the same digest, with unwatched
+#: completions settled in place (two fewer events per request).
+GATE_PATH = os.path.join(
+    os.path.dirname(__file__), os.pardir, os.pardir, "BENCH_20261019.json"
+)
+
 
 def _doctored(**overrides):
     return json.dumps(dict(COMMITTED, **overrides)).encode()
@@ -137,6 +143,12 @@ class TestLoadBench:
         snapshot = load_bench(COMMITTED_PATH)
         assert snapshot["events"] == 203976
         assert snapshot["figures_sha256"].startswith("813480fd")
+
+    def test_gate_baseline_loads(self):
+        snapshot = load_bench(GATE_PATH)
+        assert snapshot["events"] == 107976
+        assert snapshot["figures_sha256"] == COMMITTED["figures_sha256"]
+        assert set(snapshot) == set(GATED_KEYS) | {"date"}
 
     def test_unread_keys_ignored(self):
         # Snapshots from before the timing cells were deleted carry
