@@ -37,20 +37,20 @@ and one renderer per artifact; the artifact subcommands, ``all`` and
 ``results`` are generated from it, and ``all``/``results`` run each
 study once.  Every command takes only the flags its handler reads.
 
-Every artifact command prints the same plain-text tables the benchmark
-harness asserts against.  ``--trace PATH`` (on each command that
-simulates) records a request-lifecycle trace of the command (Chrome
-trace-event JSON, loadable in ui.perfetto.dev) without changing any
-figure; the dedicated ``trace`` subcommand runs a named experiment
-with richer per-arm instrumentation, and ``report`` turns a traced run
-(or a previously exported trace) into utilization, queue-depth and
-bottleneck-attribution analytics.  ``--metrics PATH`` works the same
-way for live operational metrics: the command runs under an ambient
-:class:`~repro.obs.metrics.MetricsRegistry` and writes a Prometheus
-text exposition (or a JSONL snapshot for a ``.jsonl`` path) on exit,
-again without changing any figure; the ``metrics`` subcommand reads
-the merged per-worker snapshots of a serve queue, one-shot or as a
-``--watch`` dashboard.
+Every artifact command prints the plain-text tables of its study, and
+``scorecard`` checks every paper-shape claim.  ``--trace PATH`` (on
+each command that simulates) records a request-lifecycle trace of the
+command (Chrome trace-event JSON, loadable in ui.perfetto.dev) without
+changing any figure; the dedicated ``trace`` subcommand runs a named
+experiment with richer per-arm instrumentation, and ``report`` turns a
+traced run (or a previously exported trace) into utilization,
+queue-depth and bottleneck-attribution analytics.  ``--metrics PATH``
+works the same way for live operational metrics: the command runs
+under an ambient :class:`~repro.obs.metrics.MetricsRegistry` and
+writes a Prometheus text exposition (or a JSONL snapshot for a
+``.jsonl`` path) on exit, again without changing any figure; the
+``metrics`` subcommand reads the merged per-worker snapshots of a
+serve queue, one-shot or as a ``--watch`` dashboard.
 """
 
 from __future__ import annotations
@@ -260,11 +260,10 @@ def _scorecard(args) -> None:
         run_scorecard,
     )
 
-    print(
-        format_scorecard(
-            run_scorecard(requests=args.requests, n_workers=args.workers)
-        )
-    )
+    criteria = run_scorecard(requests=args.requests, n_workers=args.workers)
+    print(format_scorecard(criteria))
+    if not all(criterion.passed for criterion in criteria):
+        raise SystemExit(1)
 
 
 def _faults(args) -> None:
@@ -1162,7 +1161,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_command(
         "scorecard",
         _scorecard,
-        "evaluate DESIGN.md's success criteria in one pass",
+        "check every paper-shape claim; exit 1 if any fails",
         "requests",
         "workers",
         *_INSTRUMENT_FLAGS,

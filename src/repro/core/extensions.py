@@ -10,7 +10,7 @@ time.  §7.2 notes two evaluated extensions that relax them —
 
 and reports that both "provide little benefit over the HC-SD-SA(n)
 design".  :class:`OverlappedParallelDisk` implements both so the
-ablation benchmark can reproduce that negative result.
+MA/MC ablation test can reproduce that negative result.
 
 Unlike the serialised base drive, this model dispatches one service
 *process per request*: a request grabs an idle arm, seeks and waits out

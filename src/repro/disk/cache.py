@@ -8,8 +8,8 @@ opportunistically extends the segment with read-ahead sectors from the
 rest of the track.
 
 The paper reports that growing the HC-SD cache from 8 MB to 64 MB has
-negligible effect (§7.1); the cache-sensitivity ablation bench
-reproduces that experiment with this model.
+negligible effect (§7.1); the cache-size ablation test reproduces
+that experiment with this model.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ positioning time", §7.2).  The paper's HC-SD rotational-latency PDFs
 are spread across a full revolution, which shows its disk queue was
 not rotation-reordered; queue-level SPTF is available through the
 ``scheduler_factory`` argument and is studied in the scheduler-sweep
-ablation bench.
+ablation test.
 """
 
 from __future__ import annotations

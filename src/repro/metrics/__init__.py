@@ -5,7 +5,7 @@
 * :mod:`repro.metrics.cdf` — the paper's response-time CDF buckets
   (5 … 200, 200+ ms) and rotational-latency PDF buckets (1 … 11 ms).
 * :mod:`repro.metrics.report` — plain-text tables and bar charts for
-  the benchmark harness output.
+  the artifact commands and the scorecard.
 """
 
 from repro import _lazy_namespace

@@ -1,6 +1,6 @@
 """ASCII plotting: multi-series CDF/PDF charts for terminal output.
 
-The benchmark harness reports numbers; these charts make the *shape*
+The artifact tables report numbers; these charts make the *shape*
 visible in a terminal — the same visual comparison the paper's figures
 provide.  Series are drawn as distinct glyphs on a shared grid; the
 y-axis is the cumulative (or density) fraction, the x-axis the bucket

@@ -1,8 +1,8 @@
 """Plain-text rendering for benchmark-harness output.
 
-The benches print the same rows/series the paper's tables and figures
-report; these helpers keep that output aligned and readable in a
-terminal or a log file.
+The artifact commands print the same rows/series the paper's tables
+and figures report; these helpers keep that output aligned and
+readable in a terminal or a log file.
 """
 
 from __future__ import annotations

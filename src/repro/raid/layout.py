@@ -219,7 +219,7 @@ class InterleavedConcatLayout(Layout):
     source disks' spaces are striped onto the single drive in
     ``unit``-sector interleave, so each source disk's data spreads
     across the whole surface instead of occupying one contiguous band.
-    The data-layout ablation bench compares the two.
+    The migration-layout ablation test compares the two.
 
     All source capacities must be equal (they are, for the paper's
     arrays).

@@ -31,7 +31,7 @@ __getattr__, __dir__ = _lazy_namespace(
             "SimulationError",
             "Timeout",
         ),
-        "repro.sim.resources": ("PriorityStore", "Resource", "Store"),
+        "repro.sim.resources": ("Resource",),
         "repro.sim.stats": (
             "BucketHistogram",
             "OnlineStats",
@@ -52,12 +52,10 @@ __all__ = [
     "NormalStream",
     "OnlineStats",
     "ParetoStream",
-    "PriorityStore",
     "Process",
     "RandomStream",
     "Resource",
     "SimulationError",
-    "Store",
     "TimeWeightedStat",
     "Timeout",
     "UniformStream",

@@ -30,9 +30,9 @@ order or any observable value:
   when the callbacks list is empty, so it is always the would-be-first
   callback and dispatch order is unchanged.
 * **Lazy deletion** — an interrupt can orphan the event its victim was
-  waiting on; the dead heap entry stays put and is discarded when it
-  surfaces.  Orphans are counted so :attr:`Environment.scheduled_events`
-  (the live queue depth) never drifts.
+  waiting on; the dead heap entry stays put, flagged ``_stale``, and is
+  discarded when it surfaces.  :attr:`Environment.scheduled_events`
+  (the live queue depth) counts only unflagged entries.
 * **Settling in place** — :meth:`Event.settle` triggers an event that
   no process waits on and no callback watches without scheduling it:
   the event is processed at once, so its dispatch costs no heap entry
@@ -157,11 +157,6 @@ class Event:
             heappush(env._queue, (env._now, NORMAL, env._eid, self))
             return self
         self.callbacks = None
-        if self._stale:
-            # Orphaned by an interrupt while pending: it will never
-            # reach the heap, so release its stale count here.
-            self._stale = False
-            env._stale_events -= 1
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -291,7 +286,6 @@ class Process(Event):
                     target._waiter = None
                     if not target.callbacks:
                         target._stale = True
-                        env._stale_events += 1
                 elif target.callbacks is not None:
                     try:
                         target.callbacks.remove(self._resume)
@@ -300,7 +294,6 @@ class Process(Event):
                     else:
                         if not target.callbacks and target._waiter is None:
                             target._stale = True
-                            env._stale_events += 1
             self._target = None
             try:
                 if event._ok:
@@ -339,9 +332,7 @@ class Process(Event):
                     # the (empty) callbacks list.  Revive the entry if
                     # an interrupt had orphaned it earlier.
                     next_event._waiter = self
-                    if next_event._stale:
-                        next_event._stale = False
-                        env._stale_events -= 1
+                    next_event._stale = False
                 break
             # Event already processed: continue immediately with its value.
             event = next_event
@@ -398,9 +389,7 @@ class Condition(Event):
                 self._check(event)
             else:
                 event.callbacks.append(self._check)
-                if event._stale:
-                    event._stale = False
-                    env._stale_events -= 1
+                event._stale = False
 
     def _check(self, event: Event) -> None:
         if self._ok is not None:
@@ -465,8 +454,6 @@ class Environment:
         self._active_process: Optional[Process] = None
         #: Free list of fired timeouts available for reuse.
         self._timeout_pool: List[Timeout] = []
-        #: Heap entries nothing watches any more (lazy deletion).
-        self._stale_events = 0
         self.tracer = tracer
 
     @property
@@ -483,7 +470,7 @@ class Environment:
         drift on long runs.  For the cumulative count that the bench
         reports events/sec against, see :attr:`total_events`.
         """
-        return len(self._queue) - self._stale_events
+        return sum(1 for entry in self._queue if not entry[3]._stale)
 
     @property
     def total_events(self) -> int:
@@ -576,9 +563,6 @@ class Environment:
             self._now, _, _, event = heappop(self._queue)
         except IndexError:
             raise EmptySchedule() from None
-        if event._stale:
-            event._stale = False
-            self._stale_events -= 1
         waiter = event._waiter
         callbacks, event.callbacks = event.callbacks, None
         if waiter is not None:
@@ -639,9 +623,6 @@ class Environment:
                         # Single-waiter fast path: resume the owning
                         # process directly, then recycle the timeout.
                         event.callbacks = None
-                        if event._stale:
-                            event._stale = False
-                            self._stale_events -= 1
                         waiter._resume(event)
                         if event._ok is False and not event.defused:
                             raise event._value
@@ -652,9 +633,6 @@ class Environment:
                     # Waiter plus later callbacks: the waiter attached
                     # first, so it is dispatched first.
                     event.callbacks = None
-                    if event._stale:
-                        event._stale = False
-                        self._stale_events -= 1
                     waiter._resume(event)
                     for callback in callbacks:
                         callback(event)
@@ -662,9 +640,6 @@ class Environment:
                         raise event._value
                     continue
                 callbacks, event.callbacks = event.callbacks, None
-                if event._stale:
-                    event._stale = False
-                    self._stale_events -= 1
                 for callback in callbacks:
                     callback(event)
                 if event._ok is False and not event.defused:
@@ -714,9 +689,6 @@ class Environment:
                 callbacks = event.callbacks
                 if not callbacks:
                     event.callbacks = None
-                    if event._stale:
-                        event._stale = False
-                        self._stale_events -= 1
                     waiter._resume(event)
                     if event._ok is False and not event.defused:
                         raise event._value
@@ -725,9 +697,6 @@ class Environment:
                         pool_append(event)
                     continue
                 event.callbacks = None
-                if event._stale:
-                    event._stale = False
-                    self._stale_events -= 1
                 waiter._resume(event)
                 for callback in callbacks:
                     callback(event)
@@ -735,9 +704,6 @@ class Environment:
                     raise event._value
                 continue
             callbacks, event.callbacks = event.callbacks, None
-            if event._stale:
-                event._stale = False
-                self._stale_events -= 1
             for callback in callbacks:
                 callback(event)
             if event._ok is False and not event.defused:

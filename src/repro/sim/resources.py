@@ -1,24 +1,16 @@
-"""Shared resources for processes: counted resources and object stores.
+"""A shared counted resource for processes.
 
-These mirror the SimPy primitives the storage models need:
-
-* :class:`Resource` — a counted semaphore (e.g. a data channel that only
-  one head may drive at a time).
-* :class:`Store` — an unbounded FIFO buffer of objects (e.g. a request
-  queue between a workload generator and a disk controller).
-* :class:`PriorityStore` — a store whose ``get`` returns the smallest
-  item first (used for priority request queues).
+:class:`Resource` mirrors SimPy's counted semaphore: the MA/MC drive's
+data channel, which only one head may drive at a time, is one.
 """
 
 from __future__ import annotations
 
-import heapq
-from collections import deque
-from typing import Any, Deque, List, Optional
+from typing import List
 
-from repro.sim.engine import Environment, Event, SimulationError
+from repro.sim.engine import Environment, Event
 
-__all__ = ["PriorityStore", "Release", "Request", "Resource", "Store"]
+__all__ = ["Release", "Request", "Resource"]
 
 
 class Request(Event):
@@ -92,98 +84,3 @@ class Resource:
             req = self._queue.pop(0)
             self._users.append(req)
             req.succeed(req)
-
-
-class StoreGet(Event):
-    def __init__(self, store: "Store"):
-        super().__init__(store.env)
-        store._getters.append(self)
-        store._trigger()
-
-
-class StorePut(Event):
-    def __init__(self, store: "Store", item: Any):
-        super().__init__(store.env)
-        self.item = item
-        store._putters.append(self)
-        store._trigger()
-
-
-class Store:
-    """Unbounded (or bounded) FIFO buffer of arbitrary objects."""
-
-    def __init__(self, env: Environment, capacity: float = float("inf")):
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self.env = env
-        self.capacity = capacity
-        self.items: Deque[Any] = deque()
-        self._getters: List[StoreGet] = []
-        self._putters: List[StorePut] = []
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def put(self, item: Any) -> StorePut:
-        return StorePut(self, item)
-
-    def get(self) -> StoreGet:
-        return StoreGet(self)
-
-    def _do_put(self, event: StorePut) -> bool:
-        if len(self.items) < self.capacity:
-            self.items.append(event.item)
-            event.succeed()
-            return True
-        return False
-
-    def _do_get(self, event: StoreGet) -> bool:
-        if self.items:
-            event.succeed(self.items.popleft())
-            return True
-        return False
-
-    def _trigger(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            while self._putters:
-                if self._do_put(self._putters[0]):
-                    self._putters.pop(0)
-                    progress = True
-                else:
-                    break
-            while self._getters:
-                if self._do_get(self._getters[0]):
-                    self._getters.pop(0)
-                    progress = True
-                else:
-                    break
-
-
-class PriorityStore(Store):
-    """A store whose ``get`` yields the smallest item first.
-
-    Items must be mutually comparable; wrap with ``(priority, seq, item)``
-    tuples when the payload itself is not orderable.
-    """
-
-    def __init__(self, env: Environment, capacity: float = float("inf")):
-        super().__init__(env, capacity)
-        self._heap: List[Any] = []
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def _do_put(self, event: StorePut) -> bool:
-        if len(self._heap) < self.capacity:
-            heapq.heappush(self._heap, event.item)
-            event.succeed()
-            return True
-        return False
-
-    def _do_get(self, event: StoreGet) -> bool:
-        if self._heap:
-            event.succeed(heapq.heappop(self._heap))
-            return True
-        return False

@@ -218,7 +218,6 @@ def _shard_worker_main(
             and getattr(entry[3].callbacks[0], "__self__", None) in servers
         ]
         heapify(env._queue)
-        env._stale_events = 0
 
         # -- per-process observability: fresh span/telemetry state, and
         # re-wire the construction-time cache counters which captured

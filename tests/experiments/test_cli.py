@@ -253,6 +253,25 @@ class TestCommands:
         with pytest.raises(SystemExit, match="unknown workload"):
             main(["simulate", "--workload", "nope", "--requests", "10"])
 
+    @pytest.mark.parametrize("passed, status", [(True, 0), (False, 1)])
+    def test_scorecard_exits_1_when_a_claim_fails(
+        self, monkeypatch, capsys, passed, status
+    ):
+        from repro.experiments import scorecard
+
+        def one_row(requests, n_workers):
+            return [
+                scorecard.Criterion("Fig. 2", 1, "a claim", passed, "numbers")
+            ]
+
+        monkeypatch.setattr(scorecard, "run_scorecard", one_row)
+        try:
+            code = main(["scorecard", "--requests", "500"])
+        except SystemExit as stop:
+            code = stop.code
+        assert code == status
+        assert ("FAIL" in capsys.readouterr().out) is not passed
+
     def test_fig2_small(self, capsys):
         assert main(["fig2", "--requests", "400"]) == 0
         out = capsys.readouterr().out

@@ -1,9 +1,9 @@
-"""Tests for Resource, Store and PriorityStore."""
+"""Tests for the counted Resource."""
 
 import pytest
 
 from repro.sim.engine import Environment
-from repro.sim.resources import PriorityStore, Resource, Store
+from repro.sim.resources import Resource
 
 
 @pytest.fixture
@@ -109,136 +109,3 @@ class TestResource:
         env.run()
         # The cancelled request must not absorb the grant at t=10.
         assert ("patient", 10.0) in winners
-
-
-class TestStore:
-    def test_put_then_get(self, env):
-        store = Store(env)
-        sink = []
-
-        def producer():
-            yield store.put("item")
-
-        def consumer():
-            item = yield store.get()
-            sink.append(item)
-
-        env.process(producer())
-        env.process(consumer())
-        env.run()
-        assert sink == ["item"]
-
-    def test_get_blocks_until_put(self, env):
-        store = Store(env)
-        sink = []
-
-        def consumer():
-            item = yield store.get()
-            sink.append((env.now, item))
-
-        def producer():
-            yield env.timeout(5)
-            yield store.put("late")
-
-        env.process(consumer())
-        env.process(producer())
-        env.run()
-        assert sink == [(5.0, "late")]
-
-    def test_fifo_order(self, env):
-        store = Store(env)
-        sink = []
-
-        def producer():
-            for value in (1, 2, 3):
-                yield store.put(value)
-
-        def consumer():
-            for _ in range(3):
-                sink.append((yield store.get()))
-
-        env.process(producer())
-        env.process(consumer())
-        env.run()
-        assert sink == [1, 2, 3]
-
-    def test_bounded_capacity_blocks_put(self, env):
-        store = Store(env, capacity=1)
-        log = []
-
-        def producer():
-            yield store.put("a")
-            log.append(("a", env.now))
-            yield store.put("b")
-            log.append(("b", env.now))
-
-        def consumer():
-            yield env.timeout(4)
-            yield store.get()
-
-        env.process(producer())
-        env.process(consumer())
-        env.run()
-        assert log == [("a", 0.0), ("b", 4.0)]
-
-    def test_invalid_capacity(self, env):
-        with pytest.raises(ValueError):
-            Store(env, capacity=0)
-
-    def test_len_reports_buffered_items(self, env):
-        store = Store(env)
-
-        def producer():
-            yield store.put(1)
-            yield store.put(2)
-
-        env.process(producer())
-        env.run()
-        assert len(store) == 2
-
-
-class TestPriorityStore:
-    def test_smallest_first(self, env):
-        store = PriorityStore(env)
-        sink = []
-
-        def producer():
-            for value in (5, 1, 3):
-                yield store.put(value)
-
-        def consumer():
-            yield env.timeout(1)
-            for _ in range(3):
-                sink.append((yield store.get()))
-
-        env.process(producer())
-        env.process(consumer())
-        env.run()
-        assert sink == [1, 3, 5]
-
-    def test_tuple_priorities(self, env):
-        store = PriorityStore(env)
-        sink = []
-
-        def producer():
-            yield store.put((2, "low"))
-            yield store.put((1, "high"))
-
-        def consumer():
-            yield env.timeout(1)
-            sink.append((yield store.get())[1])
-
-        env.process(producer())
-        env.process(consumer())
-        env.run()
-        assert sink == ["high"]
-
-    def test_len_tracks_heap(self, env):
-        store = PriorityStore(env)
-
-        def producer():
-            yield store.put(1)
-
-        env.process(producer())
-        env.run()
-        assert len(store) == 1

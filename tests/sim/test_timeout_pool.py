@@ -94,8 +94,25 @@ class TestInterruptWhilePooled:
         env.run(until=2.0)
         # The 10 ms timeout is still on the heap but nothing watches
         # it; queue-depth telemetry must not count it.
-        assert env._stale_events == 1
         assert env.scheduled_events == len(env._queue) - 1
+
+    def test_orphaned_untriggered_event_is_not_subtracted(self, env):
+        # The orphan never triggers, so it never reaches the heap and
+        # the queue depth must not go below zero.
+        def victim():
+            try:
+                yield env.event()
+            except Interrupt:
+                pass
+
+        def attacker(target):
+            yield env.timeout(1.0)
+            target.interrupt("stop")
+
+        process = env.process(victim())
+        env.process(attacker(process))
+        env.run()
+        assert env.scheduled_events == 0
 
     def test_orphaned_timeout_not_recycled(self, env):
         orphan = {}
@@ -118,7 +135,7 @@ class TestInterruptWhilePooled:
         # The orphan fired with no waiter attached: recycling it would
         # alias a later env.timeout() onto a dead reference.
         assert orphan["timeout"] not in env._timeout_pool
-        assert env._stale_events == 0
+        assert env.scheduled_events == len(env._queue)
 
     def test_rewaiting_orphaned_timeout_revives_it(self, env):
         resumed_at = {}
@@ -140,7 +157,7 @@ class TestInterruptWhilePooled:
         env.process(attacker(process))
         env.run()
         assert resumed_at["time"] == 10.0
-        assert env._stale_events == 0
+        assert env.scheduled_events == len(env._queue)
         # Revived and consumed normally, so it is recyclable again.
         assert env._timeout_pool
 
@@ -161,7 +178,6 @@ class TestInterruptWhilePooled:
         env.process(attacker(process, 5))
         env.run(until=50.0)
         # Five orphaned 100 ms timeouts plus one live one.
-        assert env._stale_events == 5
         assert env.scheduled_events == len(env._queue) - 5
 
 
@@ -288,10 +304,9 @@ class TestPoolPickle:
 
     def test_env_with_pool_and_stale_entries_round_trips(self):
         env = self.build_used_env()
-        assert env._timeout_pool or env._stale_events
+        assert env._timeout_pool or env.scheduled_events < len(env._queue)
         clone = pickle.loads(pickle.dumps(env))
         assert clone.now == env.now
-        assert clone._stale_events == env._stale_events
         assert clone.scheduled_events == env.scheduled_events
 
     def test_unpickled_env_keeps_running(self):
