@@ -96,8 +96,11 @@ class OverlappedParallelDisk(ParallelDisk):
                 request.start_service = self.env.now
                 self.env.process(self._run_cache_hit(request))
                 continue
-            arm, seek, rotation, _head = self.best_arm_for(
-                request, self.env.now + self.spec.controller_overhead_ms
+            cylinder, sector_angle = self.geometry.decode_target(request.lba)
+            arm, seek, rotation, _head, spare, move = self._best_arm(
+                cylinder,
+                sector_angle,
+                self.env.now + self.spec.controller_overhead_ms,
             )
             if self._should_wait_for_better_arm(
                 request, seek + rotation
@@ -114,9 +117,7 @@ class OverlappedParallelDisk(ParallelDisk):
             self._cylinder_cache.pop(request.request_id, None)
             request.start_service = self.env.now
             arm.busy_until = _FAR_FUTURE
-            self._preposition(
-                arm, self.geometry.to_physical(request.lba).cylinder
-            )
+            self._preposition(spare, move, cylinder)
             self.env.process(
                 self._run_media(request, arm, seek, rotation)
             )

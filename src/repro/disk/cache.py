@@ -14,8 +14,9 @@ that experiment with this model.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 __all__ = ["CacheStats", "DiskCache"]
 
@@ -91,28 +92,37 @@ class DiskCache:
         #: telemetry registry when tracing is enabled; the default
         #: ``None`` keeps the lookup path branch-cheap.
         self.listener: Optional[Callable[[str, int, int], None]] = None
-        # LRU order, oldest first: each segment is a plain
-        # ``(start, end)`` tuple.  The cache holds at most a few dozen
-        # segments, so a list scan with inline tuple unpacks beats an
-        # OrderedDict of objects on every hot operation.
-        self._segments: List[Tuple[int, int]] = []
+        # Segments are half-open ``[start, end)`` sector runs.  Every
+        # install absorbs each segment it overlaps or touches, so no two
+        # segments overlap and at least one uncached sector lies between
+        # any two.  Hence a start names its segment, at most one segment
+        # holds a given sector (the one with the greatest start at or
+        # below it), and the segments touching a range are a contiguous
+        # run of the start-sorted order: every operation is a bisect.
+        #: start -> end in LRU order, oldest first (insertion order).
+        self._lru: Dict[int, int] = {}
+        #: The same starts, sorted.
+        self._starts: List[int] = []
 
     def __len__(self) -> int:
-        return len(self._segments)
+        return len(self._starts)
 
     @property
     def cached_sectors(self) -> int:
-        return sum(end - start for start, end in self._segments)
+        return sum(end - start for start, end in self._lru.items())
 
     def lookup_read(self, lba: int, size: int) -> bool:
         """Check (and record) whether a read fully hits one segment."""
-        end = lba + size
-        segments = self._segments
-        for index, segment in enumerate(segments):
-            if segment[0] <= lba and end <= segment[1]:
+        starts = self._starts
+        index = bisect_right(starts, lba)
+        if index:
+            start = starts[index - 1]
+            lru = self._lru
+            end = lru[start]
+            if lba + size <= end:
                 # Refresh LRU position (move to the newest end).
-                del segments[index]
-                segments.append(segment)
+                del lru[start]
+                lru[start] = end
                 self.stats.read_hits += 1
                 if self.listener is not None:
                     self.listener("hit", lba, size)
@@ -124,10 +134,10 @@ class DiskCache:
 
     def contains(self, lba: int, size: int) -> bool:
         """Like :meth:`lookup_read` but without touching statistics/LRU."""
-        end = lba + size
-        for start, seg_end in self._segments:
-            if start <= lba and end <= seg_end:
-                return True
+        starts = self._starts
+        index = bisect_right(starts, lba)
+        if index:
+            return lba + size <= self._lru[starts[index - 1]]
         return False
 
     def install_read(
@@ -137,30 +147,60 @@ class DiskCache:
 
         ``read_ahead_limit`` bounds the read-ahead (the drive passes the
         number of sectors remaining on the track, since free read-ahead
-        ends at the track boundary).
+        ends at the track boundary).  The range merges with every
+        segment it overlaps or touches; the merged segment becomes the
+        newest, evicting the least recently used one when the cache is
+        full.
         """
-        read_ahead = self.segment_capacity - size
+        capacity = self.segment_capacity
+        read_ahead = capacity - size
         if read_ahead > read_ahead_limit:
             read_ahead = read_ahead_limit
         if read_ahead < 0:
             read_ahead = 0
         end = lba + size + read_ahead
         start = lba
-        if end - start > self.segment_capacity:
+        if end - start > capacity:
             # Keep the tail: sequential readers want the newest sectors.
-            start = end - self.segment_capacity
-        self._install(start, end)
-        return end - start
+            start = end - capacity
+        cached = end - start
+        starts = self._starts
+        lru = self._lru
+        # Segments starting at or before ``end`` whose end reaches
+        # ``start`` touch the range; ends ascend with starts, so they
+        # are the run just below ``high``.
+        high = bisect_right(starts, end)
+        low = high
+        while low and lru[starts[low - 1]] >= start:
+            low -= 1
+        if low < high:
+            first = starts[low]
+            if first < start:
+                start = first
+            last_end = lru[starts[high - 1]]
+            if last_end > end:
+                end = last_end
+            for absorbed in starts[low:high]:
+                del lru[absorbed]
+            del starts[low:high]
+            if end - start > capacity:
+                start = end - capacity
+        while len(starts) >= self.segment_count:
+            for oldest in lru:  # evict LRU: the first key
+                break
+            del lru[oldest]
+            del starts[bisect_left(starts, oldest)]
+        insort(starts, start)
+        lru[start] = end
+        return cached
 
     def install_write(self, lba: int, size: int) -> None:
         """Install written sectors (if write caching is enabled)."""
         if not self.cache_writes:
             return
-        start = lba
-        end = lba + size
-        if end - start > self.segment_capacity:
-            start = end - self.segment_capacity
-        self._install(start, end)
+        # A write caches exactly its own sectors: a read install with
+        # no read-ahead.
+        self.install_read(lba, size)
         self.stats.write_installs += 1
         if self.listener is not None:
             self.listener("install_write", lba, size)
@@ -171,42 +211,21 @@ class DiskCache:
         Used when write caching is disabled: a write must not leave a
         stale read segment behind.  Returns segments dropped.
         """
-        end = lba + size
-        segments = self._segments
-        kept = [
-            seg for seg in segments if not (seg[0] < end and lba < seg[1])
-        ]
-        dropped = len(segments) - len(kept)
+        starts = self._starts
+        lru = self._lru
+        high = bisect_left(starts, lba + size)
+        low = high
+        while low and lru[starts[low - 1]] > lba:
+            low -= 1
+        dropped = high - low
         if dropped:
-            self._segments = kept
+            for start in starts[low:high]:
+                del lru[start]
+            del starts[low:high]
             if self.listener is not None:
                 self.listener("invalidate", lba, size)
         return dropped
 
-    def _install(self, start: int, end: int) -> None:
-        # Merge with any overlapping/adjacent segment (absorb it).  The
-        # running [start, end) grows as absorptions are found, exactly
-        # as the single-pass merge always has.
-        segments = self._segments
-        doomed = None
-        for index, (seg_start, seg_end) in enumerate(segments):
-            if seg_start <= end and start <= seg_end:
-                if seg_start < start:
-                    start = seg_start
-                if seg_end > end:
-                    end = seg_end
-                if doomed is None:
-                    doomed = [index]
-                else:
-                    doomed.append(index)
-        if doomed is not None:
-            for index in reversed(doomed):
-                del segments[index]
-        if end - start > self.segment_capacity:
-            start = end - self.segment_capacity
-        while len(segments) >= self.segment_count:
-            del segments[0]  # evict LRU
-        segments.append((start, end))
-
     def clear(self) -> None:
-        del self._segments[:]
+        self._lru.clear()
+        del self._starts[:]

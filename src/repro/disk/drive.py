@@ -395,7 +395,10 @@ class ConventionalDrive:
         whether waiting for a busy arm would beat dispatching now.
         """
         cylinder, sector_angle = self.geometry.decode_target(request.lba)
-        return self._best_arm(cylinder, sector_angle, at_time, include_busy)
+        arm, seek, rotation, head, _, _ = self._best_arm(
+            cylinder, sector_angle, at_time, include_busy
+        )
+        return arm, seek, rotation, head
 
     def _best_arm(
         self,
@@ -403,21 +406,37 @@ class ConventionalDrive:
         sector_angle: float,
         at_time: float,
         include_busy: bool = False,
-    ) -> Tuple[ArmAssembly, float, float, int]:
-        """SPTF arm search over an already-decoded target.
+    ) -> Tuple[
+        ArmAssembly, float, float, int, Optional[ArmAssembly], float
+    ]:
+        """SPTF arm search over an already-decoded target, in one scan.
 
+        Returns ``(arm, seek, rotation, head, spare, spare_seek)``.
         Arms are scanned in ``arm_id`` order with a strict improvement
         test, so ties go to the lowest id — the same total order as the
-        documented ``(total, arm_id)`` key.
+        documented ``(total, arm_id)`` key.  ``spare`` is the assembly
+        :meth:`_preposition` would shuttle toward ``cylinder``: the
+        first, in ``arm_id`` order, of the arms farthest from it among
+        those idle now (not at ``at_time``) other than the winner, or
+        ``None``; ``spare_seek`` is its already-priced seek.  This is
+        the one loop that prices and ranks arms.
         """
-        seek_time = self.seek_model.seek_time
+        seek_model = self.seek_model
+        memo = seek_model._memo
         spindle = self.spindle
-        latency_to = spindle.latency_to
         period = spindle._period_ms
         phase = spindle.phase
         seek_scale = self.seek_scale
         rotation_scale = self.rotation_scale
-        best: Optional[Tuple[float, ArmAssembly, float, float, int]] = None
+        now = self.env._now
+        best = None
+        best_total = best_seek = best_rotation = 0.0
+        best_head = 0
+        # The two farthest arms idle now, each the first in arm_id
+        # order at its distance: the spare is the first unless it won.
+        far = far_next = None
+        far_distance = far_next_distance = -1
+        far_seek = far_next_seek = 0.0
         for arm in self.arms:
             if arm.failed:
                 # Deconfigured assemblies never serve again; SPTF
@@ -425,9 +444,37 @@ class ConventionalDrive:
                 # ``is_idle`` alone would not exclude them for the
                 # overlapped extensions' ``include_busy`` searches).
                 continue
-            if not include_busy and at_time < arm.busy_until:
+            busy_until = arm.busy_until
+            if at_time < busy_until and not include_busy:
                 continue
-            seek = seek_time(arm.cylinder, cylinder) * seek_scale
+            # SeekModel.seek_time inlined over its shared distance
+            # table; a miss goes through the method so the table fills
+            # exactly as it always has.
+            distance = arm.cylinder - cylinder
+            if distance < 0:
+                distance = -distance
+            if distance:
+                seek = memo.get(distance)
+                if seek is None:
+                    seek = seek_model.seek_time(arm.cylinder, cylinder)
+                seek *= seek_scale
+            else:
+                seek = 0.0
+            if now >= busy_until:
+                if distance > far_distance:
+                    far_next = far
+                    far_next_distance = far_distance
+                    far_next_seek = far_seek
+                    far = arm
+                    far_distance = distance
+                    far_seek = seek
+                elif distance > far_next_distance:
+                    far_next = arm
+                    far_next_distance = distance
+                    far_next_seek = seek
+            if best is not None and seek >= best_total:
+                # Rotation is never negative: this arm cannot win.
+                continue
             angles = arm._head_angles
             if len(angles) == 1:
                 # Single head per surface (every evaluated design):
@@ -442,16 +489,22 @@ class ConventionalDrive:
                 head = 0
             else:
                 rotation, head = arm.best_head_latency(
-                    latency_to, at_time + seek, sector_angle
+                    spindle.latency_to, at_time + seek, sector_angle
                 )
             rotation *= rotation_scale
             total = seek + rotation
-            if best is None or total < best[0]:
-                best = (total, arm, seek, rotation, head)
+            if best is None or total < best_total:
+                best = arm
+                best_total = total
+                best_seek = seek
+                best_rotation = rotation
+                best_head = head
         if best is None:
             raise RuntimeError("no idle arm available")
-        _, arm, seek, rotation, head = best
-        return arm, seek, rotation, head
+        if far is best:
+            far = far_next
+            far_seek = far_next_seek
+        return best, best_seek, best_rotation, best_head, far, far_seek
 
     def positioning_estimate(self, request: IORequest) -> float:
         """Estimated seek + rotational latency if dispatched right now.
@@ -466,12 +519,17 @@ class ConventionalDrive:
             target = self.geometry.decode_target(request.lba)
             self._target_cache[request.request_id] = target
         cylinder, sector_angle = target
-        _, seek, rotation, _ = self._best_arm(
+        _, seek, rotation, _, _, _ = self._best_arm(
             cylinder, sector_angle, self.env._now
         )
         return seek + rotation
 
-    def _preposition(self, active_arm: ArmAssembly, target_cylinder: int) -> None:
+    def _preposition(
+        self,
+        spare: Optional[ArmAssembly],
+        move: float,
+        target_cylinder: int,
+    ) -> None:
         """Background repositioning of a stranded idle assembly.
 
         A far-away assembly can never win the SPTF arm choice: its seek
@@ -482,43 +540,28 @@ class ConventionalDrive:
         stops moving once its seek ends, so the single-arm-in-motion
         restriction is preserved for *servicing* seeks.
 
+        ``spare`` and ``move`` are the farthest idle assembly and its
+        seek to ``target_cylinder``, as :meth:`_best_arm` found them.
         The move's VCM activity is billed to the seek-mode energy,
         which is why the paper sees the fraction of non-zero-seek
         requests (and seek power) grow with actuator count (§7.2).
         """
-        if not self.preposition_idle_arms:
-            return
-        now = self.env._now
-        # First-maximal scan in arm_id order: the same arm max() with an
-        # abs-distance key would pick, without the candidate list.
-        farthest = None
-        farthest_distance = -1
-        for arm in self.arms:
-            if arm is active_arm or arm.failed or now < arm.busy_until:
-                continue
-            distance = arm.cylinder - target_cylinder
-            if distance < 0:
-                distance = -distance
-            if distance > farthest_distance:
-                farthest_distance = distance
-                farthest = arm
-        if farthest is None:
-            return
-        move = (
-            self.seek_model.seek_time(farthest.cylinder, target_cylinder)
-            * self.seek_scale
-        )
         # Only shuttle assemblies whose seek handicap exceeds the
         # typical rotational stake (half a revolution): any farther and
         # the assembly can rarely win the SPTF arm choice.
-        if move <= self.spindle.average_latency_ms:
+        if (
+            spare is None
+            or not self.preposition_idle_arms
+            or move <= self.spindle.average_latency_ms
+        ):
             return
-        farthest.busy_until = now + move
-        farthest.move_to(target_cylinder)
-        farthest.seek_time_ms += move
-        farthest.seeks += 1
+        now = self.env._now
+        spare.busy_until = now + move
+        spare.move_to(target_cylinder)
+        spare.seek_time_ms += move
+        spare.seeks += 1
         self.stats.seek_ms += move
-        self.stats.record_arm_seek(farthest.arm_id, move)
+        self.stats.record_arm_seek(spare.arm_id, move)
         self.repositions += 1
         if self.tracer.enabled:
             self.tracer.span(
@@ -526,7 +569,7 @@ class ConventionalDrive:
                 "seek",
                 now,
                 move,
-                (self.label, f"arm {farthest.arm_id}"),
+                (self.label, f"arm {spare.arm_id}"),
                 args={"to_cylinder": target_cylinder},
             )
             self.tracer.telemetry.counter("repro_arm_repositions_total").inc()
@@ -670,6 +713,10 @@ class ConventionalDrive:
 
     def _service_media(self, request: IORequest, overhead: float):
         spec = self.spec
+        now = self.env._now
+        lba = request.lba
+        size = request.size
+        is_read = request.is_read
         (
             cylinder,
             sector_angle,
@@ -679,20 +726,21 @@ class ConventionalDrive:
             end_cylinder,
             end_sector,
             end_spt,
-        ) = self.geometry.service_plan(request.lba, request.size)
-        settle = 0.0 if request.is_read else spec.write_settle_ms
+        ) = self.geometry.service_plan(lba, size)
+        settle = 0.0 if is_read else spec.write_settle_ms
         # The head is ready overhead (+ settle) + seek after now;
         # evaluate the rotational gap for that instant so the charged
-        # latency matches the platter's true phase.
-        arm, seek, rotation, _head = self._best_arm(
-            cylinder, sector_angle, self.env._now + overhead + settle
+        # latency matches the platter's true phase.  The same scan
+        # finds the idle assembly _preposition would shuttle.
+        arm, seek, rotation, _head, spare, move = self._best_arm(
+            cylinder, sector_angle, now + overhead + settle
         )
         seek += settle
-        if self.tracer.enabled:
+        traced = self.tracer.enabled
+        if traced:
             # Annotate the SPTF arm decision: which assembly won, what
             # it cost, and how contested the choice was — the per-arm
             # view behind the paper's Figure 5 latency shortening.
-            now = self.env.now
             self.tracer.instant(
                 "arm-select",
                 now,
@@ -710,7 +758,11 @@ class ConventionalDrive:
             self.tracer.telemetry.counter(
                 "repro_arm_selections_total", labels=("arm",)
             ).labels(arm=arm.arm_id).inc()
-        self._preposition(arm, cylinder)
+        period = self.spindle._period_ms
+        # _preposition's half-revolution threshold, tested here first
+        # so the common no-move case costs no frame.
+        if spare is not None and move > period / 2.0:
+            self._preposition(spare, move, cylinder)
 
         # Seek, rotation (estimated at decision time for the instant the
         # head comes ready) and transfer are all fixed here, so one
@@ -725,14 +777,17 @@ class ConventionalDrive:
         # validated the request bounds, so the method's argument checks
         # — and both frames — are redundant here.
         if m <= 1:
-            transfer = (request.size / spt) * self.spindle._period_ms
-            transfer += (
-                track_crossings - cylinder_crossings
-            ) * spec.head_switch_ms
-            transfer += cylinder_crossings * spec.seek_track_to_track_ms
+            transfer = (size / spt) * period
+            if track_crossings:
+                # Adding the zero switch terms of a one-track transfer
+                # is a float identity, so skipping them moves nothing.
+                transfer += (
+                    track_crossings - cylinder_crossings
+                ) * spec.head_switch_ms
+                transfer += cylinder_crossings * spec.seek_track_to_track_ms
         else:
             transfer = (
-                (request.size / spt) * self.spindle._period_ms / m
+                (size / spt) * period / m
                 + cylinder_crossings * spec.seek_track_to_track_ms
             )
         # Armed media faults are rare; the healthy path pays only the
@@ -741,10 +796,10 @@ class ConventionalDrive:
         penalty = (
             self._media_retry_penalty(request) if self._armed_faults else 0.0
         )
-        if self.tracer.enabled:
+        if traced:
             self._record_phase_spans(
                 request,
-                self.env.now,
+                now,
                 overhead,
                 seek,
                 rotation,
@@ -772,23 +827,29 @@ class ConventionalDrive:
         stats.transfer_ms += overhead  # overhead billed as transfer
         stats.seek_ms += seek
         stats.per_arm_seek_ms[arm.arm_id] += seek
-        if seek > 0.0:
-            stats.nonzero_seeks += 1
         stats.rotational_latency_ms += rotation
         if penalty > 0.0:
             # The platter spins under a waiting head during retries, so
             # the time is rotational residency for mode/power purposes.
             stats.rotational_latency_ms += penalty
         stats.transfer_ms += transfer
-        stats.sectors_transferred += request.size
+        stats.sectors_transferred += size
 
         arm.requests_serviced += 1
         arm.seek_time_ms += seek
         if seek > 0.0:
+            stats.nonzero_seeks += 1
             arm.seeks += 1
         arm.cylinder = end_cylinder
         self._current_cylinder = end_cylinder
-        self._update_cache_planned(request, end_sector, end_spt)
+        # _update_cache_planned inlined: one cache call per service.
+        cache = self.cache
+        if is_read:
+            cache.install_read(lba, size, end_spt - end_sector - 1)
+        elif cache.cache_writes:
+            cache.install_write(lba, size)
+        else:
+            cache.invalidate(lba, size)
 
     def _record_phase_spans(
         self,
@@ -860,23 +921,19 @@ class ConventionalDrive:
 
         ``end_sector``/``end_spt`` locate the request's last sector (the
         end-of-transfer decode ``geometry.service_plan`` already did):
-        a read installs read-ahead up to the end of that track.
+        a read installs read-ahead up to the end of that track.  A
+        track's sectors are consecutive LBAs on the disk, so that room
+        never runs past the disk's last sector.
         """
+        cache = self.cache
         if request.is_read:
-            remaining_on_track = end_spt - end_sector - 1
-            # Don't read ahead past the end of the disk.
-            to_disk_end = (
-                self.geometry.total_sectors - request.lba - request.size
+            cache.install_read(
+                request.lba, request.size, end_spt - end_sector - 1
             )
-            if to_disk_end < remaining_on_track:
-                remaining_on_track = to_disk_end
-            self.cache.install_read(
-                request.lba, request.size, read_ahead_limit=remaining_on_track
-            )
-        elif self.cache.cache_writes:
-            self.cache.install_write(request.lba, request.size)
+        elif cache.cache_writes:
+            cache.install_write(request.lba, request.size)
         else:
-            self.cache.invalidate(request.lba, request.size)
+            cache.invalidate(request.lba, request.size)
 
     def _complete(self, request: IORequest) -> None:
         """Finish ``request`` at the instant its service timeout fires.

@@ -27,7 +27,6 @@ import dataclasses
 from typing import Dict, List, Optional
 
 from repro.disk.drive import ConventionalDrive
-from repro.disk.rotation import Spindle
 from repro.disk.scheduler import QueueScheduler
 from repro.disk.specs import DriveSpec
 from repro.power.models import DrivePowerModel
@@ -163,7 +162,10 @@ class DynamicRpmDrive(ConventionalDrive):
         delay = steps * self.transition_ms_per_step
         self._transition_until = self.env.now + delay
         self.transitions += 1
-        self.spindle = Spindle(self.current_rpm)
+        # Change speed in place: the drive keeps its own spindle phase
+        # (a fresh Spindle would restart every drive at phase 0, in
+        # lockstep with the rest of its array).
+        self.spindle.rpm = self.current_rpm
         yield self.env.timeout(delay)
 
     # -- service hooks ---------------------------------------------------------

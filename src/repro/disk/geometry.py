@@ -327,6 +327,19 @@ class DiskGeometry:
         cylinder += self._zone_first_cyls[index]
         skew = surface * self.track_skew + cylinder * self.cylinder_skew
         sector_angle = ((sector + skew) % spt) / spt
+        if sector + size <= spt:
+            # The transfer ends on its starting track: the end decode
+            # is the start decode moved along the track.
+            return (
+                cylinder,
+                sector_angle,
+                spt,
+                0,
+                0,
+                cylinder,
+                sector + size - 1,
+                spt,
+            )
         # Transfers almost never leave their starting zone; only bisect
         # again when the end sector provably lives past its boundary.
         next_index = index + 1

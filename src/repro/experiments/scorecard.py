@@ -33,6 +33,12 @@ from repro.workloads.commercial import COMMERCIAL_WORKLOADS
 __all__ = ["CLAIMS", "Claim", "Criterion", "format_scorecard", "run_scorecard"]
 
 DEFAULT_REQUESTS = 2500
+#: The smallest scale every row holds at on working code: below it
+#: Figure 5's "Financial never catches MD" fails (SA(4)/MD 0.78 at 500
+#: requests), because the saturated queue has too little time to
+#: diverge.  ``repro scorecard`` rejects smaller ``--requests`` at
+#: parse time.
+MIN_REQUESTS = 2000
 #: Requests per generated trace in Table 2's arrival-intensity check.
 INTENSITY_REQUESTS = 4000
 
@@ -260,6 +266,20 @@ def _fig5_rotation(parallel) -> Tuple[bool, str]:
     return ok, "mean rotational ms SA(1/2/4): " + ", ".join(
         f"{name}={rots[1]:.2f}/{rots[2]:.2f}/{rots[4]:.2f}"
         for name, rots in rotational.items()
+    )
+
+
+def _fig5_sa3_beats_md(parallel) -> Tuple[bool, str]:
+    means = {
+        name: (
+            parallel[name].by_actuators[3].mean_response_ms,
+            parallel[name].md.mean_response_ms,
+        )
+        for name in ("websearch", "tpcc")
+    }
+    ok = all(sa3 < md for sa3, md in means.values())
+    return ok, "SA(3)/MD mean ms: " + ", ".join(
+        f"{name}={sa3:.1f}/{md:.1f}" for name, (sa3, md) in means.items()
     )
 
 
@@ -502,6 +522,8 @@ CLAIMS: Tuple[Claim, ...] = (
           "(SA(4) within 5% of SA(3))", "parallel", _fig5_diminishing),
     Claim("Fig. 5", 4, "Rotational-latency PDF tail shortens with n: mean "
           "SA(4) < SA(2) < SA(1)", "parallel", _fig5_rotation),
+    Claim("Fig. 5", 4, "SA(3) beats MD (mean response) for "
+          "Websearch/TPC-C", "parallel", _fig5_sa3_beats_md),
     Claim("Fig. 5", 4, "SA(4) matches MD for Websearch/TPC-C; Financial "
           "never catches MD", "parallel", _fig5_versus_md),
     Claim("Fig. 6", 5, "Same-RPM SA(4) draws within 6 W of HC-SD", "rpm",
@@ -540,16 +562,17 @@ def run_scorecard(
 ) -> List[Criterion]:
     """Run each study once and evaluate every row of :data:`CLAIMS`.
 
-    Use ``requests >= 2000``: Figure 5's "Financial never catches MD"
-    rests on slow queue divergence under saturation, which a shorter
-    trace does not give time to develop.  The RAID and sensitivity
-    sweeps run at ``max(1200, requests // 2)``.  ``n_workers`` fans
-    each study's independent runs out across processes; the verdicts
-    are identical for any worker count.
+    ``requests`` must be at least :data:`MIN_REQUESTS`: Figure 5's
+    "Financial never catches MD" rests on slow queue divergence under
+    saturation, which a shorter trace does not give time to develop.
+    The RAID and sensitivity sweeps run at ``max(1200, requests //
+    2)``.  ``n_workers`` fans each study's independent runs out across
+    processes; the verdicts are identical for any worker count.
     """
-    if requests < 500:
+    if requests < MIN_REQUESTS:
         raise ValueError(
-            f"scorecard needs a meaningful scale, got {requests} requests"
+            f"scorecard needs a meaningful scale, requests >= "
+            f"{MIN_REQUESTS}; got {requests}"
         )
     sweep_requests = max(1200, requests // 2)
     studies = {

@@ -5,6 +5,7 @@ import pytest
 from repro.disk.drpm import DynamicRpmDrive
 from repro.disk.request import IORequest
 from repro.disk.scheduler import FCFSScheduler
+from repro.disk.specs import BARRACUDA_ES
 from repro.sim.engine import Environment
 
 
@@ -60,6 +61,19 @@ class TestSpinDown:
         env.process(idle_forever())
         env.run()  # must terminate despite the control loop
         assert drive.current_rpm == drive.rpm_levels[-1]
+
+    def test_speed_changes_keep_each_drives_phase(self):
+        # Three idle steps take both drives to 4200 RPM; each must keep
+        # the phase it was built with, or every DRPM drive of an
+        # environment would spin in lockstep after its first step.
+        env = Environment()
+        first = DynamicRpmDrive(env, BARRACUDA_ES)
+        second = DynamicRpmDrive(env, BARRACUDA_ES)
+        env.run(until=2000.0)
+        assert first.transitions == second.transitions == 3
+        assert first.spindle.rpm == second.spindle.rpm == 4200.0
+        assert first.spindle.phase == pytest.approx(0.022, abs=5e-4)
+        assert second.spindle.phase == pytest.approx(0.110, abs=5e-4)
 
     def test_residency_accounted(self, tiny_spec):
         env, drive = make_drive(tiny_spec)

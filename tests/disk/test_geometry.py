@@ -166,3 +166,56 @@ class TestTransferGeometry:
     def test_zero_size_rejected(self, geometry):
         with pytest.raises(ValueError):
             geometry.transfer_geometry(0, 0)
+
+
+class TestServicePlan:
+    """``service_plan`` against the separate decodes it fuses.
+
+    Most transfers end on their starting track, where the plan reuses
+    the start decode; the rest decode their last sector again.  Both
+    must equal ``decode_target`` + ``transfer_geometry`` +
+    ``decode(last sector)``.
+    """
+
+    GEOMETRY = DiskGeometry(2_000_000, 8, 100, 60, zones=4)
+
+    @given(
+        lba=st.integers(min_value=0, max_value=1_999_999),
+        # Short transfers mostly stay on their track; long ones cross
+        # tracks, cylinders and now and then a zone boundary; ``edge``
+        # ends a transfer on, just before or just past its track's
+        # last sector.
+        size=st.integers(min_value=1, max_value=16)
+        | st.integers(min_value=1, max_value=260),
+        edge=st.none() | st.integers(min_value=-1, max_value=1),
+    )
+    @settings(max_examples=400)
+    def test_plan_equals_the_general_decode(self, lba, size, edge):
+        geometry = self.GEOMETRY
+        if edge is not None:
+            _, _, sector, spt = geometry.decode(lba)
+            size = max(1, spt - sector + edge)
+        if lba + size > geometry.total_sectors:
+            lba = geometry.total_sectors - size
+        end_cylinder, _, end_sector, end_spt = geometry.decode(
+            lba + size - 1
+        )
+        assert geometry.service_plan(lba, size) == (
+            *geometry.decode_target(lba),
+            *geometry.transfer_geometry(lba, size),
+            end_cylinder,
+            end_sector,
+            end_spt,
+        )
+        # Read-ahead to the end of the last track stays on the disk.
+        assert end_spt - end_sector - 1 <= (
+            geometry.total_sectors - lba - size
+        )
+
+    def test_plan_validates_like_transfer_geometry(self, geometry):
+        with pytest.raises(ValueError):
+            geometry.service_plan(geometry.total_sectors - 5, 10)
+        with pytest.raises(ValueError):
+            geometry.service_plan(0, 0)
+        with pytest.raises(ValueError):
+            geometry.service_plan(geometry.total_sectors, 1)

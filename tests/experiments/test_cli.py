@@ -266,11 +266,23 @@ class TestCommands:
 
         monkeypatch.setattr(scorecard, "run_scorecard", one_row)
         try:
-            code = main(["scorecard", "--requests", "500"])
+            code = main(["scorecard", "--requests", "2000"])
         except SystemExit as stop:
             code = stop.code
         assert code == status
         assert ("FAIL" in capsys.readouterr().out) is not passed
+
+    def test_scorecard_rejects_scales_its_claims_cannot_hold_at(
+        self, capsys
+    ):
+        from repro import cli
+        from repro.experiments import scorecard
+
+        assert cli._SCORECARD_MIN_REQUESTS == scorecard.MIN_REQUESTS
+        with pytest.raises(SystemExit) as stop:
+            main(["scorecard", "--requests", "1999"])
+        assert stop.value.code == 2
+        assert "must be >= 2000" in capsys.readouterr().err
 
     def test_fig2_small(self, capsys):
         assert main(["fig2", "--requests", "400"]) == 0

@@ -59,8 +59,10 @@ print(json.dumps(sorted(sys.modules)))
 #: Modules only optional paths use: the sharded kernel, trace
 #: analytics and export, fault injection, the drive variants, MAID,
 #: the DASH extensions and factory, the study drivers, cost data and
-#: the process pools.
+#: the process pools.  numpy is no dependency at all: importing it
+#: alone would cost a replay more than its whole set-up.
 NOT_ON_A_SERIAL_REPLAY = [
+    "numpy",
     "repro.sim.sharded",
     "repro.obs.analysis",
     "repro.obs.report",
