@@ -204,8 +204,19 @@ class OverlappedParallelDisk(ParallelDisk):
             transfer = self._transfer_time(
                 request.size, spt, track_crossings, cylinder_crossings
             )
-            yield self.env.timeout(transfer)
+            # An armed media fault costs its retry revolutions after the
+            # transfer, as in the serialised drive's combined timeout;
+            # adding 0.0 on the healthy path is a float identity.
+            penalty = (
+                self._media_retry_penalty(request)
+                if self._armed_faults
+                else 0.0
+            )
+            yield self.env.timeout(transfer + penalty)
         self.stats.transfer_ms += transfer
+        if penalty > 0.0:
+            # The platter spins under a waiting head during retries.
+            self.stats.rotational_latency_ms += penalty
         self.stats.sectors_transferred += request.size
 
         request.seek_time = seek

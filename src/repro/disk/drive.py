@@ -8,6 +8,10 @@ one arm assembly at mount angle 0, the DASH ``D1A1S1H1`` point (§4);
 :class:`repro.core.parallel_disk.ParallelDisk` lays out ``n`` under the
 same two restrictions (§7.2), so both serve through the one path here,
 whose SPTF arm search reduces with one arm to seek plus rotational wait.
+The §5 alternatives serve foreground work through it too:
+:class:`~repro.disk.freeblock.FreeblockDrive` adds only its background
+windows, :class:`~repro.disk.drpm.DynamicRpmDrive` only its speed
+changes.
 
 The drive exposes two hooks that implement the paper's limit-study
 methodology (§7.1): ``seek_scale`` and ``rotation_scale`` multiply the
@@ -20,6 +24,7 @@ power model in :mod:`repro.power`.
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
@@ -140,6 +145,15 @@ class ConventionalDrive:
         Segment count for the on-board cache.
     """
 
+    #: Earliest instant a dispatched request may start service: a DRPM
+    #: spindle settling at a new speed holds it ahead of the clock
+    #: (:class:`~repro.disk.drpm.DynamicRpmDrive`).  A class default
+    #: rather than an instance attribute: a ``ParallelDisk`` already
+    #: carries 29, the most CPython 3.11 keeps in a class's shared-key
+    #: instance layout; a 30th moves every drive attribute load onto
+    #: the plain-dict path.
+    _ready_at = float("-inf")
+
     def __init__(
         self,
         env: Environment,
@@ -151,8 +165,13 @@ class ConventionalDrive:
         label: Optional[str] = None,
         retry_policy: Optional[RetryPolicy] = None,
     ):
-        if seek_scale < 0 or rotation_scale < 0:
-            raise ValueError("latency scales must be non-negative")
+        for scale in (seek_scale, rotation_scale):
+            if not (math.isfinite(scale) and scale >= 0):
+                raise ValueError(
+                    "latency scales must be finite and non-negative, "
+                    f"got seek_scale={seek_scale}, "
+                    f"rotation_scale={rotation_scale}"
+                )
         self.env = env
         self.spec = spec
         self.label = label or spec.name
@@ -614,12 +633,6 @@ class ConventionalDrive:
         }
 
     def _serve_loop(self):
-        # When this drive class runs the stock _service, its body is
-        # inlined below: every media/cache-hit resume then traverses
-        # one generator frame fewer, and no _service generator is
-        # created per request.  Subclasses overriding _service (the
-        # DRPM model) keep the delegating call.
-        flat = type(self)._service is ConventionalDrive._service
         # Exact-type check: FCFS keeps no cross-call state, so picking
         # the sole queued request without the select frame is safe.  A
         # stateful policy (VSCAN tracks sweep direction) must see every
@@ -644,10 +657,9 @@ class ConventionalDrive:
                 self._cylinder_cache.pop(request.request_id, None)
             if self._target_cache:
                 self._target_cache.pop(request.request_id, None)
-            if not flat:
-                yield from self._service(request)
-                continue
-            # -- stock _service, inlined -------------------------------
+            stall = self._ready_at - env._now
+            if stall > 0:
+                yield env.timeout(stall)
             request.start_service = env._now
             if self.tracer.enabled:
                 self.tracer.span(
@@ -666,26 +678,6 @@ class ConventionalDrive:
             else:
                 yield from self._service_media(request, overhead)
             self._complete(request)
-
-    def _service(self, request: IORequest):
-        request.start_service = self.env._now
-        if self.tracer.enabled:
-            self.tracer.span(
-                "queue",
-                "queue",
-                request.arrival_time,
-                self.env.now - request.arrival_time,
-                (self.label, "queue"),
-                args=self._span_args(request),
-            )
-        overhead = self.spec.controller_overhead_ms
-        if request.is_read and self.cache.lookup_read(
-            request.lba, request.size
-        ):
-            yield from self._service_cache_hit(request, overhead)
-        else:
-            yield from self._service_media(request, overhead)
-        self._complete(request)
 
     def _service_cache_hit(self, request: IORequest, overhead: float):
         bus_ms = (request.size * 512 / self.spec.bus_bytes_per_s) * 1000.0

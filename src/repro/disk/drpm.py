@@ -16,7 +16,10 @@ package needs for the comparison benchmark:
   period, spin straight up to full speed when the queue exceeds a
   threshold;
 * transitions take ``transition_ms_per_step`` per level and block
-  service (requests keep queueing);
+  service (requests keep queueing): a transition moves the drive's
+  ready-at instant, which the conventional serve loop waits out before
+  it starts a request, so foreground work is served by the base
+  drive's code;
 * per-level residency accounting, from which
   :meth:`average_power_watts` integrates the near-cubic RPM/power law.
 """
@@ -85,7 +88,6 @@ class DynamicRpmDrive(ConventionalDrive):
 
         self._level_index = 0
         self._last_activity = 0.0
-        self._transition_until = 0.0
         #: Milliseconds spent at each RPM level (includes transitions,
         #: charged to the destination level).
         self.rpm_residency_ms: Dict[float, float] = {
@@ -160,7 +162,8 @@ class DynamicRpmDrive(ConventionalDrive):
         self._note_residency()
         self._level_index = index
         delay = steps * self.transition_ms_per_step
-        self._transition_until = self.env.now + delay
+        # Service stalls while the spindle settles at the new speed.
+        self._ready_at = self.env.now + delay
         self.transitions += 1
         # Change speed in place: the drive keeps its own spindle phase
         # (a fresh Spindle would restart every drive at phase 0, in
@@ -169,13 +172,9 @@ class DynamicRpmDrive(ConventionalDrive):
         yield self.env.timeout(delay)
 
     # -- service hooks ---------------------------------------------------------
-    def _service(self, request):
-        self._last_activity = self.env.now
-        # Service stalls while the spindle settles at a new speed.
-        remaining = self._transition_until - self.env.now
-        if remaining > 0:
-            yield self.env.timeout(remaining)
-        yield from super()._service(request)
+    def _complete(self, request):
+        super()._complete(request)
+        # Each completion restarts the idle clock the control loop reads.
         self._last_activity = self.env.now
 
     # -- power ---------------------------------------------------------------

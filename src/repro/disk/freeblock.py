@@ -21,11 +21,13 @@ has no such deadline: a spare arm assembly services background work
 whenever it is idle.
 
 :class:`FreeblockDrive` implements the conventional-drive flavour.
-Background requests go to a separate queue; each foreground media
-access tries to squeeze the best-fitting background request into its
-rotational window.  Background requests that never fit simply wait
-(they are best-effort), and any still pending at the end of a run can
-be drained explicitly.
+Foreground requests are served by :class:`ConventionalDrive`'s own
+code: pricing, media faults, spans and accounting.  Background
+requests go to a separate queue; each foreground media access tries
+to squeeze the best-fitting background request into the rotational
+window the base drive priced for it.  Background requests that never
+fit simply wait (they are best-effort), and any still pending at the
+end of a run can be drained explicitly.
 """
 
 from __future__ import annotations
@@ -46,9 +48,10 @@ class FreeblockDrive(ConventionalDrive):
 
     Submit background work with requests whose ``background`` flag is
     set (or via :meth:`submit_background`).  Foreground requests are
-    serviced exactly as on :class:`ConventionalDrive`; background
-    requests are opportunistically folded into foreground rotational
-    latency windows.
+    serviced by :class:`ConventionalDrive`'s code, so without
+    background work every request and statistic is the conventional
+    drive's; background requests are opportunistically folded into
+    foreground rotational latency windows.
 
     Parameters
     ----------
@@ -126,81 +129,77 @@ class FreeblockDrive(ConventionalDrive):
     def _service_media(self, request: IORequest, overhead: float):
         """Foreground service with background work in the rotational gap.
 
-        The excursion replaces part of the rotational wait; the
-        foreground request's completion time is *unchanged* — that is
-        the whole point of freeblock scheduling.
+        The base drive prices, stamps and times the foreground access;
+        its first yield is the access's one combined timeout, so the
+        rotational window is fixed by then.  The excursion starts when
+        the foreground seek ends, replaces part of the rotational wait
+        and finishes by its own timeout: the foreground request's
+        completion time is *unchanged*, which is the whole point of
+        freeblock scheduling.
         """
-        # One service_plan pass replaces the former to_physical /
-        # sector_angle / transfer_geometry / end-decode quartet (same
-        # zone tables, same formulas — the per-phase charges are
-        # bit-identical to the piecewise lookups).
-        (
-            cylinder,
-            sector_angle,
-            spt,
-            track_crossings,
-            cylinder_crossings,
-            end_cylinder,
-            end_sector,
-            end_spt,
-        ) = self.geometry.service_plan(request.lba, request.size)
-        # Single-arm by construction: the one assembly seeks, and parks
-        # where the transfer ends (the SPTF estimate reads its cylinder).
-        arm = self.arms[0]
-        seek = (
-            self.seek_model.seek_time(arm.cylinder, cylinder)
-            * self.seek_scale
-        )
-        yield self.env.timeout(overhead + seek)
-        self.stats.transfer_ms += overhead
-        self.stats.seek_ms += seek
-        self.stats.record_arm_seek(request.arm_id, seek)
-        if seek > 0.0:
-            self.stats.nonzero_seeks += 1
+        service = super()._service_media(request, overhead)
+        completion = next(service)
+        if self._background:
+            self._fill_window(request, overhead)
+        yield completion
+        yield from service
 
-        rotation = (
-            self.spindle.latency_to(self.env.now, sector_angle)
-            * self.rotation_scale
+    def _fill_window(self, request: IORequest, overhead: float) -> None:
+        """Start the background excursion that best fits ``request``'s
+        priced rotational window, or count the window as missed."""
+        # The head reaches the foreground track ``ready`` after now.
+        ready = overhead + request.seek_time
+        start = self.env.now + ready
+        plan = self._plan_background(
+            self.geometry.cylinder_of_lba(request.lba),
+            request.rotational_latency - self.guard_ms,
+            start,
         )
-        window = rotation - self.guard_ms
-        plan = self._plan_background(cylinder, window)
-        if plan is not None:
-            yield from self._run_background(plan, rotation)
-        else:
-            if self._background:
-                self.windows_missed += 1
-            yield self.env.timeout(rotation)
-            self.stats.rotational_latency_ms += rotation
+        if plan is None:
+            self.windows_missed += 1
+            return
+        background, seek_out, rotation, transfer, seek_back = plan
+        self._background.remove(background)
+        background.start_service = start
+        background.seek_time = seek_out
+        background.rotational_latency = rotation
+        background.transfer_time = transfer
+        excursion = seek_out + rotation + transfer + seek_back
+        finished = self.env.timeout(ready + excursion, plan)
+        finished.callbacks.append(self._finish_excursion)
 
-        transfer = self._transfer_time(
-            request.size, spt, track_crossings, cylinder_crossings
-        )
-        yield self.env.timeout(transfer)
-        self.stats.transfer_ms += transfer
-        self.stats.sectors_transferred += request.size
-
-        request.seek_time = seek
-        request.rotational_latency = rotation
-        request.transfer_time = transfer
-        arm.cylinder = end_cylinder
-        self._current_cylinder = end_cylinder
-        self._update_cache_planned(request, end_sector, end_spt)
+    def _finish_excursion(self, event: Event) -> None:
+        background, seek_out, rotation, transfer, seek_back = event.value
+        # Mode accounting: the VCM is active for the excursion seeks and
+        # the channel for its transfer, inside the foreground window the
+        # base drive bills as rotational time; move that share over so
+        # the energy reflects the extra arm activity.
+        stats = self.stats
+        moved = seek_out + seek_back
+        stats.seek_ms += moved
+        stats.record_arm_seek(background.arm_id, moved)
+        stats.transfer_ms += transfer
+        stats.rotational_latency_ms -= moved + transfer
+        stats.sectors_transferred += background.size
+        self._complete(background)
+        self.freeblock_serviced += 1
 
     def _plan_background(
-        self, foreground_cylinder: int, window_ms: float
+        self, foreground_cylinder: int, window_ms: float, start: float
     ) -> Optional[Tuple[IORequest, float, float, float, float]]:
         """Find the background request that best uses the window.
 
+        The excursion leaves ``foreground_cylinder`` at ``start``.
         Returns ``(request, seek_out, rotation, transfer, seek_back)``
         or ``None`` when nothing fits.  "Best" = largest total
         excursion that still fits — freeblock throughput is maximised
         by filling windows as completely as possible.
         """
-        if window_ms <= 0 or not self._background:
+        if window_ms <= 0:
             return None
         best = None
         for candidate in self._background[: self.max_candidates]:
-            plan = self._excursion(candidate, foreground_cylinder)
+            plan = self._excursion(candidate, foreground_cylinder, start)
             total = plan[0] + plan[1] + plan[2] + plan[3]
             if total <= window_ms and (
                 best is None or total > best[1]
@@ -212,7 +211,7 @@ class FreeblockDrive(ConventionalDrive):
         return candidate, seek_out, rotation, transfer, seek_back
 
     def _excursion(
-        self, candidate: IORequest, foreground_cylinder: int
+        self, candidate: IORequest, foreground_cylinder: int, start: float
     ) -> Tuple[float, float, float, float]:
         # Candidate pricing runs up to ``max_candidates`` times per
         # foreground window, so the one-pass service_plan (in place of
@@ -233,7 +232,7 @@ class FreeblockDrive(ConventionalDrive):
             * self.seek_scale
         )
         rotation = (
-            self.spindle.latency_to(self.env.now + seek_out, sector_angle)
+            self.spindle.latency_to(start + seek_out, sector_angle)
             * self.rotation_scale
         )
         transfer = self._transfer_time(
@@ -244,31 +243,6 @@ class FreeblockDrive(ConventionalDrive):
             * self.seek_scale
         )
         return seek_out, rotation, transfer, seek_back
-
-    def _run_background(self, plan, foreground_rotation: float):
-        request, seek_out, rotation, transfer, seek_back = plan
-        self._background.remove(request)
-        request.start_service = self.env.now
-        excursion = seek_out + rotation + transfer + seek_back
-        yield self.env.timeout(excursion)
-        # Mode accounting: the VCM is active for the excursion seeks
-        # even though the *foreground* clock only sees its rotational
-        # window; energy must reflect the extra arm activity.
-        self.stats.seek_ms += seek_out + seek_back
-        self.stats.record_arm_seek(request.arm_id, seek_out + seek_back)
-        self.stats.transfer_ms += transfer
-        self.stats.rotational_latency_ms += rotation
-        self.stats.sectors_transferred += request.size
-        request.seek_time = seek_out
-        request.rotational_latency = rotation
-        request.transfer_time = transfer
-        self._complete(request)
-        self.freeblock_serviced += 1
-        # The remainder of the foreground window still has to elapse.
-        remainder = foreground_rotation - excursion
-        if remainder > 0:
-            yield self.env.timeout(remainder)
-            self.stats.rotational_latency_ms += remainder
 
     # -- draining ---------------------------------------------------------------
     def drain_background(self) -> int:

@@ -10,29 +10,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Optional
 
-__all__ = ["IORequest", "SECTOR_BYTES", "new_request", "release_request"]
+__all__ = ["IORequest", "SECTOR_BYTES", "new_request"]
 
 #: Size of one logical sector, in bytes.
 SECTOR_BYTES = 512
 
 _request_ids = itertools.count()
-
-#: Slab pool: dead request shells available for reuse.  The fast
-#: constructors (:func:`new_request`, :meth:`IORequest.clone_slice`)
-#: draw shells from here instead of allocating, and the RAID
-#: controller returns each physical slice via :func:`release_request`
-#: once its measurements are copied out.  Every field — including a
-#: fresh ``request_id`` from the shared counter — is overwritten on
-#: reuse, so pooling is invisible to everything but the allocator.
-_slab: List["IORequest"] = []
-
-#: Workload-identity fields :meth:`IORequest.clone` may override on its
-#: allocation-free fast path.
-_CLONE_KEYS = frozenset(
-    ("lba", "size", "is_read", "arrival_time", "source_disk", "background")
-)
 
 
 @dataclass(slots=True)
@@ -110,95 +95,23 @@ class IORequest:
     def clone(self, **overrides) -> "IORequest":
         """A fresh request (new id, cleared measurements) with overrides.
 
-        Used by the RAID layer to fan a logical request out into
-        per-disk physical requests.
+        Copies the workload fields (``lba``, ``size``, ``is_read``,
+        ``arrival_time``, ``source_disk``, ``background``), applies
+        ``overrides`` and builds through the dataclass constructor, so
+        an unknown key fails loudly and the copy is validated like any
+        request.  Code that builds requests in bulk (trace replay, the
+        array's per-slice requests) uses :func:`new_request` instead.
         """
-        if overrides and not _CLONE_KEYS.issuperset(overrides):
-            # Overrides beyond the workload fields: take the generic
-            # constructor path so unknown keys fail loudly and
-            # measurement-field overrides behave as before.
-            fields = {
-                "lba": self.lba,
-                "size": self.size,
-                "is_read": self.is_read,
-                "arrival_time": self.arrival_time,
-                "source_disk": self.source_disk,
-                "background": self.background,
-            }
-            fields.update(overrides)
-            return IORequest(**fields)
-        # Hot path (one clone per physical slice): build the instance
-        # directly, skipping the dataclass __init__/__post_init__ pair,
-        # with the same validation on the two checked fields.
-        if not overrides:
-            return self.clone_slice(
-                self.lba,
-                self.size,
-                self.is_read,
-                self.arrival_time,
-                self.source_disk,
-            )
-        new = object.__new__(IORequest)
-        get = overrides.get
-        new.lba = lba = get("lba", self.lba)
-        new.size = size = get("size", self.size)
-        if lba < 0:
-            raise ValueError(f"lba must be non-negative, got {lba}")
-        if size <= 0:
-            raise ValueError(f"size must be positive, got {size}")
-        new.is_read = get("is_read", self.is_read)
-        new.arrival_time = get("arrival_time", self.arrival_time)
-        new.source_disk = get("source_disk", self.source_disk)
-        new.background = get("background", self.background)
-        new.request_id = next(_request_ids)
-        new.start_service = None
-        new.completion_time = None
-        new.seek_time = 0.0
-        new.rotational_latency = 0.0
-        new.transfer_time = 0.0
-        new.cache_hit = False
-        new.arm_id = 0
-        new.media_error = False
-        new.retries = 0
-        return new
-
-    def clone_slice(
-        self,
-        lba: int,
-        size: int,
-        is_read: bool,
-        arrival_time: float,
-        source_disk: int,
-    ) -> "IORequest":
-        """Positional fast path of :meth:`clone` for per-disk slices.
-
-        Equivalent to ``clone(lba=..., size=..., is_read=...,
-        arrival_time=..., source_disk=...)`` without the keyword
-        plumbing; the array controller issues one of these per physical
-        slice.
-        """
-        if lba < 0:
-            raise ValueError(f"lba must be non-negative, got {lba}")
-        if size <= 0:
-            raise ValueError(f"size must be positive, got {size}")
-        new = _slab.pop() if _slab else object.__new__(IORequest)
-        new.lba = lba
-        new.size = size
-        new.is_read = is_read
-        new.arrival_time = arrival_time
-        new.source_disk = source_disk
-        new.background = self.background
-        new.request_id = next(_request_ids)
-        new.start_service = None
-        new.completion_time = None
-        new.seek_time = 0.0
-        new.rotational_latency = 0.0
-        new.transfer_time = 0.0
-        new.cache_hit = False
-        new.arm_id = 0
-        new.media_error = False
-        new.retries = 0
-        return new
+        fields = {
+            "lba": self.lba,
+            "size": self.size,
+            "is_read": self.is_read,
+            "arrival_time": self.arrival_time,
+            "source_disk": self.source_disk,
+            "background": self.background,
+        }
+        fields.update(overrides)
+        return IORequest(**fields)
 
     def __str__(self) -> str:
         kind = "R" if self.is_read else "W"
@@ -214,27 +127,29 @@ def new_request(
     is_read: bool,
     arrival_time: float = 0.0,
     source_disk: int = 0,
+    background: bool = False,
 ) -> IORequest:
-    """Slab-backed fast constructor for workload generators.
+    """The fast constructor, for code that builds requests in bulk.
 
     Equivalent to ``IORequest(lba=..., size=..., is_read=...,
-    arrival_time=..., source_disk=...)`` — same validation, same id
-    sequence — without the dataclass ``__init__``/``__post_init__``
-    frames, and reusing a pooled shell when one is free.  Generators
-    build whole traces through this, which is where the batched
-    front end gets its allocation savings.
+    arrival_time=..., source_disk=..., background=...)`` — same
+    validation, same id sequence — without the dataclass
+    ``__init__``/``__post_init__`` frames.  Workload generators and
+    trace readers build every request through it, the replay runner
+    its per-run copy of each trace request, and the array controller
+    each physical slice.
     """
     if lba < 0:
         raise ValueError(f"lba must be non-negative, got {lba}")
     if size <= 0:
         raise ValueError(f"size must be positive, got {size}")
-    new = _slab.pop() if _slab else object.__new__(IORequest)
+    new = object.__new__(IORequest)
     new.lba = lba
     new.size = size
     new.is_read = is_read
     new.arrival_time = arrival_time
     new.source_disk = source_disk
-    new.background = False
+    new.background = background
     new.request_id = next(_request_ids)
     new.start_service = None
     new.completion_time = None
@@ -246,15 +161,3 @@ def new_request(
     new.media_error = False
     new.retries = 0
     return new
-
-
-def release_request(request: IORequest) -> None:
-    """Return a dead request shell to the slab pool.
-
-    The caller asserts nothing will touch ``request`` again: the RAID
-    controller releases each physical slice after copying its
-    measurements to the logical request, and drive tests may release
-    requests they own.  Releasing a request something still references
-    is undefined — the shell's every field changes on reuse.
-    """
-    _slab.append(request)

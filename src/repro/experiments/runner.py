@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional
 
-from repro.disk.request import IORequest
+from repro.disk.request import IORequest, new_request
 from repro.metrics.collector import RequestCollector
 from repro.obs.metrics import metrics_for
 from repro.obs.tracer import tracer_for
@@ -141,15 +141,16 @@ def run_trace(
             raise ValueError(
                 "on_chunk/chunk_requests apply to StreamingTrace replays"
             )
-        # ``clone()`` with no overrides is exactly this positional fast
-        # path; calling it directly skips one wrapper frame per request.
+        # A fresh copy of each request (new id, cleared measurements),
+        # so one trace can be replayed against many systems.
         fresh: List[IORequest] = [
-            request.clone_slice(
+            new_request(
                 request.lba,
                 request.size,
                 request.is_read,
                 request.arrival_time,
                 request.source_disk,
+                request.background,
             )
             for request in trace
         ]

@@ -1,16 +1,19 @@
 """The array controller: logical requests in, per-drive requests out.
 
 A :class:`DiskArray` owns a set of member drives and a
-:class:`~repro.raid.layout.Layout`.  Each submitted logical request is
-translated into physical slices, issued to the member drives (phase by
-phase, for RAID-5 read-modify-write), and completed when the last slice
-finishes.  The logical request's measurement fields are stamped from
-the slice that finished last, so response-time metrics reflect the
-critical path.  A request that its layout locates on exactly one drive
-extent (every JBOD and concatenated request, a RAID-0 request inside one
-stripe unit) is instead handed to that drive itself.  A one-slice
-request, served in place or cloned, is finished by the drive calling
-the array's finisher, and every logical completion is settled
+:class:`~repro.raid.layout.Layout`.  A request that its layout locates
+on exactly one drive extent (every JBOD and concatenated request, a
+RAID-0 request inside one stripe unit) is handed to that drive itself.
+Any other request is translated into physical slices, one
+:func:`~repro.disk.request.new_request` each, issued to the member
+drives (phase by phase, for RAID-5 read-modify-write; each slice
+through :meth:`DiskArray._slice_attempts` when a retry policy is set),
+and finished by :meth:`DiskArray._finish` when the last slice
+completes: the timing fields come from the slice that finished last,
+so response-time metrics reflect the critical path, and
+``media_error`` and ``retries`` from every slice.  A one-slice request,
+served in place or not, is finished by the drive calling the array's
+finisher, and every logical completion is settled
 (:meth:`~repro.sim.engine.Event.settle`), so a completion nobody waits
 on costs no engine event.
 """
@@ -20,7 +23,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.disk.drive import ConventionalDrive
-from repro.disk.request import IORequest, release_request
+from repro.disk.request import IORequest, new_request
 from repro.faults.errors import DataLossError
 from repro.faults.policy import RetryPolicy
 from repro.obs.tracer import tracer_for
@@ -52,13 +55,13 @@ class DiskArray:
         Address translation; its ``disk_count`` must match.
     retry_policy:
         Optional :class:`~repro.faults.policy.RetryPolicy`.  When set,
-        every logical request runs through a coordinating process that
-        resubmits slices whose physical request came back with an
-        unrecovered media error (up to ``max_attempts`` submissions,
-        with linear backoff) and counts deadline misses against
-        ``timeout_ms``.  When ``None`` (the default) the request path
-        is exactly the policy-free fast path — bit-identical to the
-        pre-robustness controller.
+        every logical request runs through the coordinating process,
+        and each of its slices is resubmitted when its physical request
+        comes back with an unrecovered media error (up to
+        ``max_attempts`` submissions, with linear backoff), with
+        deadline misses counted against ``timeout_ms``.  When ``None``
+        (the default) each slice is submitted once, and single-extent
+        and one-slice requests skip the coordinating process.
     """
 
     def __init__(
@@ -108,7 +111,7 @@ class DiskArray:
         #: The layout's ``locate``, for the layouts whose single-extent
         #: requests ``submit`` serves in place on the healthy,
         #: policy-free path.  Exact-type check: a layout subclass may
-        #: override ``map_request``, so it keeps the clone path.
+        #: override ``map_request``, so it keeps the slice path.
         self._locate: Optional[Callable] = (
             layout.locate
             if type(layout) in (JBODLayout, ConcatLayout, Raid0Layout)
@@ -202,29 +205,23 @@ class DiskArray:
         # so the env.event() factory frame is pure overhead.
         completion = Event(self.env)
         self._outstanding[request.request_id] = completion
-        if self.retry_policy is not None:
-            # Robust path: a coordinating process that can resubmit
-            # slices and account deadline misses.  Never taken unless
-            # a policy was configured, so the default request path is
-            # byte-for-byte the policy-free controller.
-            self.env.process(self._run_retry(request, slices, completion))
-        elif len(slices) == 1:
+        if len(slices) == 1 and self.retry_policy is None:
             # One physical slice (a RAID-1 read, a layout subclass's
             # map) needs no coordinating process or AllOf barrier — the
             # drive calls the finisher at the slice's completion
             # instant, as it does for a request served in place.
             piece = slices[0]
-            physical = request.clone_slice(
-                piece.lba,
-                piece.size,
-                piece.is_read,
-                self.env._now,
-                piece.disk,
-            )
             self.drives[piece.disk].submit(
-                physical,
-                lambda served: self._finish_single(
-                    request, served, completion
+                new_request(
+                    piece.lba,
+                    piece.size,
+                    piece.is_read,
+                    self.env._now,
+                    piece.disk,
+                    request.background,
+                ),
+                lambda physical: self._finish(
+                    request, completion, [physical], 1, 1
                 ),
             )
         else:
@@ -254,7 +251,7 @@ class DiskArray:
         The drive calls this at the completion instant, having stamped
         the measurements; restore the logical address (also on a
         request a member failure already aborted) and ``start_service``
-        as :meth:`_finish_single` leaves them.
+        as :meth:`_finish` leaves them.
         """
         request.lba = self._logical_lba.pop(request.request_id)
         completion = self._outstanding.pop(request.request_id, None)
@@ -263,6 +260,8 @@ class DiskArray:
             # still had it; the late drive completion is a no-op.
             return
         request.start_service = request.arrival_time
+        if request.media_error:
+            self._count_unrecovered()
         self.requests_completed += 1
         if self.tracer.enabled:
             self._record_logical_span(request, slices=1, phases=1)
@@ -270,39 +269,53 @@ class DiskArray:
         for callback in self.on_complete:
             callback(request)
 
-    def _finish_single(
+    def _finish(
         self,
         request: IORequest,
-        physical: IORequest,
         completion: Event,
+        physicals: List[IORequest],
+        slices: int,
+        phases: int,
     ) -> None:
-        """Complete a one-slice logical request from its physical twin."""
+        """Complete a fanned-out logical request from its slices.
+
+        ``physicals`` holds the final physical request of every slice.
+        The timing fields come from the one that finished last (the
+        critical path); ``media_error`` and ``retries`` from all of
+        them, so no slice's unrecovered error is hidden.
+        """
         if completion.triggered:
             # The logical request was already failed (member loss on a
-            # non-redundant layout) while the physical slice was still
-            # in flight; the late slice completion is a no-op.
+            # non-redundant layout) while slices were still in flight;
+            # the late slice completion is a no-op.
             return
+        last = max(physicals, key=lambda physical: physical.completion_time)
         request.completion_time = self.env._now
         if request.start_service is None:
             request.start_service = request.arrival_time
-        request.seek_time = physical.seek_time
-        request.rotational_latency = physical.rotational_latency
-        request.transfer_time = physical.transfer_time
-        request.cache_hit = physical.cache_hit
-        request.arm_id = physical.arm_id
-        request.media_error = physical.media_error
-        request.retries += physical.retries
-        # The slice's measurements are copied out and the drive has
-        # dropped it from every structure; recycle the shell so the
-        # next clone_slice reuses it instead of allocating.
-        release_request(physical)
+        request.seek_time = last.seek_time
+        request.rotational_latency = last.rotational_latency
+        request.transfer_time = last.transfer_time
+        request.cache_hit = last.cache_hit
+        request.arm_id = last.arm_id
+        request.retries += sum(physical.retries for physical in physicals)
+        if any(physical.media_error for physical in physicals):
+            request.media_error = True
+            self._count_unrecovered()
         self.requests_completed += 1
         self._outstanding.pop(request.request_id, None)
         if self.tracer.enabled:
-            self._record_logical_span(request, slices=1, phases=1)
+            self._record_logical_span(request, slices=slices, phases=phases)
         completion.settle(request)
         for callback in self.on_complete:
             callback(request)
+
+    def _count_unrecovered(self) -> None:
+        self.unrecovered_requests += 1
+        if self.tracer.enabled:
+            self.tracer.telemetry.counter(
+                "repro_array_unrecovered_requests_total"
+            ).inc()
 
     def _record_logical_span(
         self, request: IORequest, slices: int, phases: int
@@ -561,126 +574,61 @@ class DiskArray:
             )
 
     def _run(self, request: IORequest, slices: List[Slice], completion: Event):
+        """Coordinating process of a fanned-out request.
+
+        Issues each phase's slices at once and waits for all of them
+        before the next phase.  Without a retry policy a slice is one
+        physical request; with one, it runs through
+        :meth:`_slice_attempts`, which resubmits unrecovered media
+        errors and accounts per-attempt deadline misses.
+        """
+        policy = self.retry_policy
         phases = sorted({piece.phase for piece in slices})
-        last_done: Optional[IORequest] = None
+        physicals: List[IORequest] = []
         for phase in phases:
             events = []
             for piece in slices:
                 if piece.phase != phase:
                     continue
-                physical = request.clone_slice(
-                    piece.lba,
-                    piece.size,
-                    piece.is_read,
-                    self.env.now,
-                    piece.disk,
-                )
-                events.append(self.drives[piece.disk].submit(physical))
-            if events:
-                result = yield self.env.all_of(events)
-                finished = [result[event] for event in result.events]
-                last_done = max(
-                    finished, key=lambda r: r.completion_time
-                )
-        if completion.triggered:
-            # Aborted mid-flight by a member failure on a
-            # non-redundant layout; nothing left to complete.
-            return
-        request.completion_time = self.env.now
-        if request.start_service is None:
-            request.start_service = request.arrival_time
-        if last_done is not None:
-            request.seek_time = last_done.seek_time
-            request.rotational_latency = last_done.rotational_latency
-            request.transfer_time = last_done.transfer_time
-            request.cache_hit = last_done.cache_hit
-            request.arm_id = last_done.arm_id
-            request.media_error = last_done.media_error
-            request.retries += last_done.retries
-        self.requests_completed += 1
-        self._outstanding.pop(request.request_id, None)
-        if self.tracer.enabled:
-            self._record_logical_span(
-                request, slices=len(slices), phases=len(phases)
-            )
-        completion.settle(request)
-        for callback in self.on_complete:
-            callback(request)
-
-    # -- retry-policy request path ------------------------------------------
-    def _run_retry(
-        self, request: IORequest, slices: List[Slice], completion: Event
-    ):
-        """Coordinating process used when a :class:`RetryPolicy` is set.
-
-        Identical phase structure to :meth:`_run`, but each slice runs
-        through :meth:`_slice_attempts`, which resubmits on unrecovered
-        media errors and accounts per-attempt deadline misses.
-        """
-        phases = sorted({piece.phase for piece in slices})
-        last_done: Optional[IORequest] = None
-        any_media_error = False
-        for phase in phases:
-            attempts = [
-                self.env.process(self._slice_attempts(request, piece))
-                for piece in slices
-                if piece.phase == phase
-            ]
-            if attempts:
-                result = yield self.env.all_of(attempts)
-                finished = [result[event] for event in result.events]
-                any_media_error = any_media_error or any(
-                    r.media_error for r in finished
-                )
-                last_done = max(
-                    finished, key=lambda r: r.completion_time
-                )
-        if completion.triggered:
-            return
-        request.completion_time = self.env.now
-        if request.start_service is None:
-            request.start_service = request.arrival_time
-        if last_done is not None:
-            request.seek_time = last_done.seek_time
-            request.rotational_latency = last_done.rotational_latency
-            request.transfer_time = last_done.transfer_time
-            request.cache_hit = last_done.cache_hit
-            request.arm_id = last_done.arm_id
-        if any_media_error:
-            request.media_error = True
-            self.unrecovered_requests += 1
-            if self.tracer.enabled:
-                self.tracer.telemetry.counter(
-                    "repro_array_unrecovered_requests_total"
-                ).inc()
-        self.requests_completed += 1
-        self._outstanding.pop(request.request_id, None)
-        if self.tracer.enabled:
-            self._record_logical_span(
-                request, slices=len(slices), phases=len(phases)
-            )
-        completion.settle(request)
-        for callback in self.on_complete:
-            callback(request)
+                if policy is None:
+                    physical = new_request(
+                        piece.lba,
+                        piece.size,
+                        piece.is_read,
+                        self.env._now,
+                        piece.disk,
+                        request.background,
+                    )
+                    events.append(self.drives[piece.disk].submit(physical))
+                else:
+                    events.append(
+                        self.env.process(self._slice_attempts(request, piece))
+                    )
+            result = yield self.env.all_of(events)
+            physicals.extend(result[event] for event in result.events)
+        self._finish(request, completion, physicals, len(slices), len(phases))
 
     def _slice_attempts(self, request: IORequest, piece: Slice):
         """Issue one slice, retrying unrecovered media errors.
 
-        Returns the physical request of the final attempt.  A media
-        access cannot be cancelled mid-revolution, so a deadline miss
-        is *recorded* (firmware-command-timeout style) while the slice
-        is still awaited — response times stay physical and the miss
-        count feeds the reliability report.
+        Returns the physical request of the final attempt, whose
+        retries :meth:`_finish` counts; the retries of the attempts
+        before it are added to ``request`` here.  A media access cannot
+        be cancelled mid-revolution, so a deadline miss is *recorded*
+        (firmware-command-timeout style) while the slice is still
+        awaited — response times stay physical and the miss count feeds
+        the reliability report.
         """
         policy = self.retry_policy
         attempt = 1
         while True:
-            physical = request.clone(
-                lba=piece.lba,
-                size=piece.size,
-                is_read=piece.is_read,
-                arrival_time=self.env.now,
-                source_disk=piece.disk,
+            physical = new_request(
+                piece.lba,
+                piece.size,
+                piece.is_read,
+                self.env._now,
+                piece.disk,
+                request.background,
             )
             event = self.drives[piece.disk].submit(physical)
             if policy.timeout_ms is not None:
@@ -706,9 +654,9 @@ class DiskArray:
                     yield event
             else:
                 yield event
-            request.retries += physical.retries
             if not physical.media_error or attempt >= policy.max_attempts:
                 return physical
+            request.retries += physical.retries
             attempt += 1
             self.slice_retries += 1
             if self.tracer.enabled:

@@ -32,7 +32,7 @@ by (§7.1, Table 2) plus what modern tooling produces:
     counted.
 
 Every reader is one loop over the file's lines that builds lists of
-up to ``chunk_requests`` requests with the slab constructor
+up to ``chunk_requests`` requests with the fast constructor
 :func:`~repro.disk.request.new_request` — only one chunk is resident,
 so a multi-million-request trace can be converted, profiled or
 replayed at a flat memory ceiling, and a consumer pays one generator

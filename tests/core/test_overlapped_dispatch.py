@@ -56,3 +56,36 @@ class TestWaitForBetterArm:
         assert arm.arm_id == 0
         arm, _, _, _ = disk.best_arm_for(request, 0.0)
         assert arm.arm_id == 1
+
+
+class TestMediaFaults:
+    def test_armed_fault_is_consumed(self, disk):
+        # Two failed attempts, both within the default retry budget:
+        # the first read to reach its transfer pays two revolutions,
+        # billed as rotational time, and the fault is disarmed.
+        disk.inject_media_error(attempts=2)
+        done = []
+        disk.on_complete.append(done.append)
+        for index in range(5):
+            disk.submit(
+                IORequest(lba=index * 50_000, size=8, is_read=True)
+            )
+        disk.env.run()
+        assert len(done) == 5
+        stats = disk.stats
+        assert stats.media_errors == 1
+        assert stats.media_retries == 2
+        assert stats.retry_ms == pytest.approx(2 * disk.spindle.period_ms)
+        assert stats.rotational_latency_ms >= stats.retry_ms
+        assert [request.retries for request in done].count(2) == 1
+        assert not any(request.media_error for request in done)
+        assert disk._armed_faults == []
+
+    def test_unrecoverable_fault_marks_request(self, disk):
+        disk.inject_media_error(attempts=50)
+        done = []
+        disk.on_complete.append(done.append)
+        disk.submit(IORequest(lba=0, size=8, is_read=True))
+        disk.env.run()
+        assert done[0].media_error
+        assert disk.stats.unrecovered_errors == 1

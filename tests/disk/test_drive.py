@@ -5,6 +5,7 @@ import pytest
 from repro.disk.drive import ConventionalDrive, DriveStats
 from repro.disk.request import IORequest
 from repro.disk.scheduler import FCFSScheduler, SPTFScheduler
+from repro.experiments.configs import build_hcsd_drive
 from repro.sim.engine import Environment
 
 
@@ -194,6 +195,16 @@ class TestLatencyScaling:
     def test_negative_scale_rejected(self, env, tiny_spec):
         with pytest.raises(ValueError):
             ConventionalDrive(env, tiny_spec, seek_scale=-0.5)
+
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf")], ids=["nan", "inf"]
+    )
+    @pytest.mark.parametrize("knob", ["seek_scale", "rotation_scale"])
+    def test_non_finite_scale_rejected(self, env, knob, value):
+        # A NaN or infinite scale would price every seek or rotation as
+        # nan/inf, so every figure built on the drive would be NaN.
+        with pytest.raises(ValueError, match="finite"):
+            build_hcsd_drive(env, actuators=2, **{knob: value})
 
 
 class TestStats:

@@ -4,9 +4,11 @@ import random
 
 import pytest
 
+from repro.disk.drive import ConventionalDrive
 from repro.disk.freeblock import FreeblockDrive
 from repro.disk.request import IORequest
 from repro.disk.scheduler import FCFSScheduler
+from repro.disk.specs import BARRACUDA_ES
 from repro.sim.engine import Environment
 
 
@@ -189,3 +191,75 @@ class TestAccounting:
         # Total seek energy must exceed the foreground-only seeks by
         # the background excursions.
         assert drive.stats.seek_ms > fg_seek
+
+
+#: Every field of a completed request but ``request_id``.
+_FIELDS = (
+    "lba",
+    "size",
+    "is_read",
+    "arrival_time",
+    "start_service",
+    "completion_time",
+    "seek_time",
+    "rotational_latency",
+    "transfer_time",
+    "cache_hit",
+    "arm_id",
+    "media_error",
+    "retries",
+)
+
+
+class TestForegroundIsConventional:
+    """Foreground requests run the conventional drive's code."""
+
+    def replay(self, drive_class, fault=False):
+        env = Environment()
+        drive = drive_class(env, BARRACUDA_ES, scheduler=FCFSScheduler())
+        if fault:
+            drive.inject_media_error(attempts=2)
+        rng = random.Random(3)
+        limit = drive.geometry.total_sectors - 64
+        done = []
+        drive.on_complete.append(done.append)
+
+        def producer():
+            for _ in range(400):
+                yield env.timeout(rng.expovariate(1 / 30.0))
+                drive.submit(
+                    IORequest(
+                        lba=rng.randrange(limit),
+                        size=8,
+                        is_read=rng.random() < 0.6,
+                        arrival_time=env.now,
+                    )
+                )
+
+        env.process(producer())
+        env.run()
+        rows = [
+            tuple(getattr(request, name) for name in _FIELDS)
+            for request in done
+        ]
+        return rows, drive
+
+    @pytest.mark.parametrize("fault", [False, True], ids=["clean", "fault"])
+    def test_same_requests_and_stats(self, fault):
+        rows, conventional = self.replay(ConventionalDrive, fault)
+        freeblock_rows, freeblock = self.replay(FreeblockDrive, fault)
+        assert len(rows) == 400
+        assert freeblock_rows == rows
+        assert freeblock.stats == conventional.stats
+        assert freeblock.arms[0].requests_serviced == 400 - (
+            freeblock.stats.cache_hits
+        )
+        assert (
+            freeblock.arms[0].requests_serviced
+            == conventional.arms[0].requests_serviced
+        )
+        assert freeblock.windows_missed == freeblock.freeblock_serviced == 0
+        # An armed fault is consumed on the foreground path: one request
+        # pays its two retry revolutions.
+        assert freeblock.stats.media_errors == int(fault)
+        assert [row[-1] for row in freeblock_rows].count(2) == int(fault)

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.disk.drive import ConventionalDrive
-from repro.disk.request import IORequest
+from repro.disk.request import IORequest, new_request
 from repro.disk.scheduler import FCFSScheduler, SPTFScheduler
+from repro.experiments import runner as runner_module
 from repro.experiments.configs import (
     build_hcsd_system,
     build_md_system,
@@ -12,6 +13,7 @@ from repro.experiments.configs import (
 )
 from repro.experiments.raid_study import DEFAULT_FOOTPRINT_FRACTION
 from repro.experiments.runner import run_trace
+from repro.raid import array as array_module
 from repro.raid.array import DiskArray
 from repro.raid.layout import (
     ConcatLayout,
@@ -288,7 +290,7 @@ class TestIdentityMappingInPlace:
     request inside one stripe unit.  Financial's 24 source disks give
     the HC-SD concatenation non-zero bases; Fig. 8's RAID-0 arrays
     replay the §7.3 stream, whose requests sometimes straddle a stripe
-    unit.  A trivial layout subclass keeps the clone-per-slice path,
+    unit.  A trivial layout subclass keeps the request-per-slice path,
     which must produce the same requests, figures and event count.
     """
 
@@ -310,15 +312,15 @@ class TestIdentityMappingInPlace:
             system = DiskArray(env, system.drives, layout, label=system.label)
         completed = []
         system.on_complete.append(completed.append)
-        clone_slice = IORequest.clone_slice
         clones = []
 
-        def counting_clone_slice(self, *args):
+        def counting_new_request(*args):
             clones.append(1)
-            return clone_slice(self, *args)
+            return new_request(*args)
 
         with monkeypatch.context() as patch:
-            patch.setattr(IORequest, "clone_slice", counting_clone_slice)
+            for module in (array_module, runner_module):
+                patch.setattr(module, "new_request", counting_new_request)
             run = run_trace(env, system, trace)
         rows = [
             tuple(getattr(request, name) for name in _REQUEST_FIELDS)
@@ -362,9 +364,9 @@ class TestIdentityMappingInPlace:
         assert rows == clone_rows
         assert figures == clone_figures
         assert events == clone_events
-        # The runner's copy of each request, plus one clone per slice
-        # of each straddling request in place, and one clone per slice
-        # of every request on the clone path.
+        # The runner's copy of each request, plus one request per slice
+        # of each straddling request in place, and one per slice of
+        # every request on the slice path.
         assert clones == 2000 + sum(n for n in slices if n > 1)
         assert clone_clones == 2000 + sum(slices)
 

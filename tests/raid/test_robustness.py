@@ -6,6 +6,7 @@ import pytest
 from repro.disk.drive import ConventionalDrive
 from repro.disk.request import IORequest
 from repro.disk.scheduler import FCFSScheduler
+from repro.experiments.configs import build_raid0_system
 from repro.faults.errors import DataLossError
 from repro.faults.policy import RetryPolicy
 from repro.raid.array import DiskArray
@@ -272,3 +273,53 @@ class TestNonRedundantFailure:
         assert array.aborted_requests == 1
         assert array.outstanding == 0
         assert request.lba == 128
+
+
+class TestStraddlingSliceError:
+    """An unrecovered slice reaches the logical request even when
+    another slice finishes after it."""
+
+    @pytest.mark.parametrize(
+        "policy",
+        [None, RetryPolicy(max_attempts=1)],
+        ids=["no-policy", "policy"],
+    )
+    def test_reported_whichever_slice_finishes_last(self, policy):
+        env = Environment()
+        system = build_raid0_system(env, 2)
+        if policy is not None:
+            system = DiskArray(
+                env, system.drives, system.layout, retry_policy=policy
+            )
+        first, second = system.drives
+        unit = system.layout.stripe_unit
+        # Queue work on drive 1 so its slice of the request finishes
+        # after drive 0's failing one.
+        for index in range(1, 5):
+            second.submit(
+                IORequest(lba=index * 10_000_000, size=64, is_read=True)
+            )
+        first.inject_media_error(attempts=64, lba=unit - 4)
+        first_done = []
+        first.on_complete.append(first_done.append)
+        request = IORequest(lba=unit - 8, size=16, is_read=True)
+        assert len(system.layout.map_request(
+            request.lba, request.size, request.is_read
+        )) == 2
+        system.submit(request)
+        env.run()
+        assert first.stats.unrecovered_errors == 1
+        assert request.completion_time > first_done[0].completion_time
+        assert request.media_error
+        assert request.retries == first.stats.media_retries > 0
+        assert system.unrecovered_requests == 1
+
+    def test_counted_when_served_in_place(self):
+        env = Environment()
+        system = build_raid0_system(env, 2)
+        system.drives[0].inject_media_error(attempts=64, lba=4)
+        request = IORequest(lba=0, size=16, is_read=True)
+        system.submit(request)
+        env.run()
+        assert request.media_error
+        assert system.unrecovered_requests == 1
