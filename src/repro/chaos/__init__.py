@@ -26,9 +26,7 @@ __getattr__, __dir__ = _lazy_namespace(
             "FAILPOINT_SITES",
             "NULL_FAILPOINTS",
             "NullFailpoints",
-            "current_failpoints",
             "failpoints_session",
-            "set_current_failpoints",
         ),
         "repro.chaos.injector": (
             "ChaosInjector",
@@ -61,12 +59,10 @@ __all__ = [
     "NullFailpoints",
     "SCENARIO_ALIASES",
     "applied_events",
-    "current_failpoints",
     "failpoints_session",
     "load_chaos_plan",
     "resolve_scenarios",
     "run_campaign",
-    "set_current_failpoints",
     "validate_chaos_plan",
     "write_chaos_plan",
 ]

@@ -27,10 +27,11 @@ hanging faults only apply once bound, so a *client* process sharing
 the injector (the campaign driver submitting jobs) can never be
 crashed by worker-targeted chaos.
 
-Discovery mirrors :mod:`repro.obs.metrics`: an ambient instance via
-:func:`current_failpoints` / :func:`set_current_failpoints` /
-:func:`failpoints_session`.  Worker processes forked by ``serve()``
-inherit the ambient injector (POSIX ``fork`` start method).
+Discovery mirrors :mod:`repro.obs.metrics`: sites read the facility
+from the ambient run context (:func:`repro.obs.context.current`), and
+:func:`failpoints_session` installs one there.  Worker processes
+forked by ``serve()`` inherit the ambient injector (POSIX ``fork``
+start method).
 """
 
 from __future__ import annotations
@@ -42,9 +43,7 @@ __all__ = [
     "FAILPOINT_SITES",
     "NULL_FAILPOINTS",
     "NullFailpoints",
-    "current_failpoints",
     "failpoints_session",
-    "set_current_failpoints",
 ]
 
 #: Every named failpoint site threaded through the serve stack, in
@@ -98,31 +97,11 @@ class NullFailpoints:
 
 NULL_FAILPOINTS = NullFailpoints()
 
-#: The ambient facility consulted by the serve stack's sites.
-_ambient: object = NULL_FAILPOINTS
-
-
-def current_failpoints():
-    """The ambient failpoint facility (default: disabled singleton)."""
-    return _ambient
-
-
-def set_current_failpoints(failpoints) -> object:
-    """Install ``failpoints`` as ambient; returns the previous one.
-
-    ``None`` restores the disabled singleton.
-    """
-    global _ambient
-    previous = _ambient
-    _ambient = failpoints if failpoints is not None else NULL_FAILPOINTS
-    return previous
-
 
 @contextmanager
 def failpoints_session(failpoints) -> Iterator[object]:
-    """Install ``failpoints`` as ambient for the ``with`` body."""
-    previous = set_current_failpoints(failpoints)
-    try:
+    """Install ``failpoints`` in the run context for the ``with`` body."""
+    from repro.obs.context import using
+
+    with using(failpoints=failpoints):
         yield failpoints
-    finally:
-        set_current_failpoints(previous)

@@ -167,9 +167,9 @@ class ChaosInjector:
         self.applied.append(
             {"event": event.to_dict(), "path": path}
         )
-        from repro.obs.metrics import current_metrics
+        from repro.obs.context import current
 
-        metrics = current_metrics()
+        metrics = current().metrics
         if metrics.enabled:
             metrics.counter(
                 "repro_chaos_injections_total",

@@ -60,6 +60,7 @@ class OverlappedParallelDisk(ParallelDisk):
         rotation_scale: float = 1.0,
         cache_segments: int = 16,
         label: Optional[str] = None,
+        retry_policy=None,
     ):
         if channels <= 0:
             raise ValueError(f"channels must be positive, got {channels}")
@@ -73,6 +74,7 @@ class OverlappedParallelDisk(ParallelDisk):
             rotation_scale=rotation_scale,
             cache_segments=cache_segments,
             label=label,
+            retry_policy=retry_policy,
         )
         self.channel = Resource(env, capacity=channels)
         self.channels = channels

@@ -47,7 +47,7 @@ from repro.faults.policy import (
     ArmedMediaFault,
     RetryPolicy,
 )
-from repro.obs.tracer import tracer_for
+from repro.obs.context import current
 from repro.sim.engine import Environment, Event
 
 __all__ = ["ConventionalDrive", "DriveStats"]
@@ -221,12 +221,12 @@ class ConventionalDrive:
         self.repositions = 0
 
         self.stats = DriveStats.for_arms(getattr(spec, "actuators", 1))
-        #: Observability: resolved once at construction (``env.tracer``
-        #: or the ambient tracer; the zero-cost null tracer otherwise).
+        #: Observability: the run context's tracer, read once at
+        #: construction (the zero-cost null tracer unless traced).
         #: Every instrumentation site below is guarded by
         #: ``tracer.enabled`` so untraced hot paths pay one attribute
         #: load and a branch, nothing more.
-        self.tracer = tracer_for(env)
+        self.tracer = current().tracer
         if self.tracer.enabled:
             self._wire_cache_telemetry()
         #: Callbacks invoked with each completed request.

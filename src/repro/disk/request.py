@@ -8,16 +8,15 @@ back.  All times are in milliseconds; addresses are 512-byte sectors.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Optional
+
+from repro.obs.context import current
 
 __all__ = ["IORequest", "SECTOR_BYTES", "new_request"]
 
 #: Size of one logical sector, in bytes.
 SECTOR_BYTES = 512
-
-_request_ids = itertools.count()
 
 
 @dataclass(slots=True)
@@ -40,7 +39,10 @@ class IORequest:
     #: Freeblock scheduling services these inside foreground rotational
     #: latency windows; intra-disk parallel drives can dedicate an arm.
     background: bool = False
-    request_id: int = field(default_factory=lambda: next(_request_ids))
+    #: Drawn from the run context's counter (``current().request_ids``).
+    request_id: int = field(
+        default_factory=lambda: next(current().request_ids)
+    )
 
     # -- measurements (stamped by the servicing drive) --------------------
     start_service: Optional[float] = None
@@ -150,7 +152,7 @@ def new_request(
     new.arrival_time = arrival_time
     new.source_disk = source_disk
     new.background = background
-    new.request_id = next(_request_ids)
+    new.request_id = next(current().request_ids)
     new.start_service = None
     new.completion_time = None
     new.seek_time = 0.0

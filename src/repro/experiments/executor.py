@@ -20,33 +20,39 @@ Determinism guarantee
   failing or changing semantics.
 
 ``n_workers=1`` (the default everywhere) never spawns processes, so
-single-worker behaviour — including breakpoints, monkeypatching and
-ad-hoc instrumentation inside job functions — is exactly the plain
-serial call.
+breakpoints, monkeypatching and ad-hoc instrumentation inside job
+functions behave as in a plain serial loop.
 
-Observability
--------------
-When an ambient tracer (:func:`repro.obs.tracing`) or an ambient
-metrics registry (:func:`repro.obs.metrics_session`) is active, a
-sweep transparently collects each job's spans, telemetry and live
-metrics: a worker runs each job under fresh collectors and returns
-the recorded payloads with its result, and the parent merges them
-into the ambient collectors in job order
-(:meth:`~repro.obs.metrics.MetricsRegistry.merge_snapshot` for both
-registries).  In-process, the ambient collectors observe the jobs
-directly, except that each job's tracer telemetry is gathered in a
-fresh registry and merged the same way, so the merged telemetry is
-identical for any worker count.  Neither tracing nor metrics ever
-changes job *results*; the figures stay bit-identical to an
-unobserved sweep.
+Observability and request ids
+-----------------------------
+Every job runs through one wrapper, in-process or in a pool worker,
+under a fresh request-id counter that starts at 0 and, where the
+caller's run context (:func:`repro.obs.context.current`) carries an
+enabled tracer or metrics registry, under a fresh one of each.  A
+disabled collector passes through unchanged.  The caller then merges
+each job's spans, telemetry and live metrics in job order
+(:meth:`~repro.obs.tracer.Tracer.merge_payload`,
+:meth:`~repro.obs.metrics.MetricsRegistry.merge_snapshot`), shifting
+the job's span ``req`` arguments by the ids drawn before it and
+advancing its own counter by the job's count.  Merged traces,
+telemetry and metrics are therefore identical for any worker count,
+and every span carries the id a plain serial loop would have drawn.
+Neither tracing nor metrics ever changes job *results*; the figures
+stay bit-identical to an unobserved sweep.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import warnings
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+
+from repro.obs.context import current, using
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracer import Tracer
 
 __all__ = ["Job", "resolve_workers", "sweep", "sweep_by_key"]
 
@@ -78,44 +84,46 @@ def resolve_workers(n_workers: Optional[int]) -> int:
     return n_workers
 
 
-def _run_job(job: Job) -> Any:
-    return job.run()
+def _run_job_observed(
+    job: Job, traced: bool, metered: bool, max_spans: Optional[int]
+) -> Tuple:
+    """Run ``job`` under a fresh request-id counter and, where the
+    caller's collector is enabled, a fresh tracer (capped at the
+    caller's ``max_spans``) and registry.
 
-
-def _run_job_observed(job: Job, traced: bool, metered: bool) -> Tuple:
-    """Worker-side wrapper: run ``job`` under fresh observability.
-
-    Returns ``(result, trace_payload, metrics_snapshot)`` — the
-    plain-data forms of everything the job recorded, ready to cross
-    the process boundary.  A collector that was not requested is the
-    null one, whose payload the parent's null collector ignores.
+    Returns ``(result, trace_payload, metrics_snapshot, ids_drawn)``:
+    plain data, ready to cross the process boundary.  A payload is
+    ``None`` where the caller's collector is disabled.
     """
-    from repro.obs.metrics import NULL_METRICS, MetricsRegistry
-    from repro.obs.metrics import metrics_session
-    from repro.obs.tracer import NULL_TRACER, Tracer, tracing
+    fields: Dict[str, Any] = {"request_ids": itertools.count()}
+    if traced:
+        fields["tracer"] = Tracer(max_spans)
+    if metered:
+        fields["metrics"] = MetricsRegistry()
+    with using(**fields) as run:
+        result = job.run()
+    return (
+        result,
+        run.tracer.payload() if traced else None,
+        run.metrics.snapshot() if metered else None,
+        next(run.request_ids),
+    )
 
-    with tracing(Tracer() if traced else NULL_TRACER) as tracer:
-        registry = MetricsRegistry() if metered else NULL_METRICS
-        with metrics_session(registry):
-            result = job.run()
-    return result, tracer.payload(), registry.snapshot()
 
-
-def _run_job_in_process(job: Job) -> Any:
-    """Run ``job`` under the ambient collectors, gathering the tracer's
-    telemetry in a fresh registry merged back as a worker's would be."""
-    from repro.obs.metrics import MetricsRegistry
-    from repro.obs.tracer import current_tracer
-
-    tracer = current_tracer()
-    if not tracer.enabled:
-        return job.run()
-    telemetry, tracer.telemetry = tracer.telemetry, MetricsRegistry()
-    try:
-        return job.run()
-    finally:
-        job_telemetry, tracer.telemetry = tracer.telemetry, telemetry
-        telemetry.merge_snapshot(job_telemetry.snapshot())
+def _merge(context, output: Tuple) -> Any:
+    """Fold one job's :func:`_run_job_observed` output into the
+    caller's ``context`` and return the job's result."""
+    result, trace_payload, metrics_snapshot, drawn = output
+    first_id = 0
+    if drawn:
+        ids = context.request_ids
+        first_id = next(ids)
+        deque(itertools.islice(ids, drawn - 1), maxlen=0)
+    if trace_payload is not None:
+        context.tracer.merge_payload(trace_payload, id_offset=first_id)
+    if metrics_snapshot is not None:
+        context.metrics.merge_snapshot(metrics_snapshot)
+    return result
 
 
 def _picklable(jobs: List[Job]) -> bool:
@@ -158,40 +166,33 @@ def sweep(
             stacklevel=2,
         )
         workers = 1
+    context = current()
+    traced = context.tracer.enabled
+    metered = context.metrics.enabled
+    max_spans = context.tracer.max_spans if traced else None
     if workers <= 1 or len(job_list) <= 1:
-        return [_run_job_in_process(job) for job in job_list]
-    from concurrent.futures import ProcessPoolExecutor
-
-    from repro.obs.metrics import current_metrics
-    from repro.obs.tracer import current_tracer
-
-    tracer = current_tracer()
-    metrics = current_metrics()
-    runs = job_list
-    if tracer.enabled or metrics.enabled:
-        # Fan out with per-worker collectors and merge the recorded
-        # payloads back (in job order, so merged traces and metric
-        # snapshots are deterministic for any worker count).
-        runs = [
-            Job(
-                _run_job_observed,
-                (job, tracer.enabled, metrics.enabled),
-                key=job.key,
+        return [
+            _merge(
+                context, _run_job_observed(job, traced, metered, max_spans)
             )
             for job in job_list
         ]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(
         max_workers=min(workers, len(job_list))
     ) as pool:
-        outputs = list(pool.map(_run_job, runs, chunksize=chunksize))
-    if runs is job_list:
-        return outputs
-    results = []
-    for result, trace_payload, metrics_snapshot in outputs:
-        tracer.merge_payload(trace_payload)
-        metrics.merge_snapshot(metrics_snapshot)
-        results.append(result)
-    return results
+        outputs = list(
+            pool.map(
+                _run_job_observed,
+                job_list,
+                itertools.repeat(traced),
+                itertools.repeat(metered),
+                itertools.repeat(max_spans),
+                chunksize=chunksize,
+            )
+        )
+    return [_merge(context, output) for output in outputs]
 
 
 def sweep_by_key(

@@ -15,8 +15,7 @@ from typing import Callable, Iterable, List, Optional
 
 from repro.disk.request import IORequest, new_request
 from repro.metrics.collector import RequestCollector
-from repro.obs.metrics import metrics_for
-from repro.obs.tracer import tracer_for
+from repro.obs.context import current
 from repro.power.accounting import PowerBreakdown, array_power
 from repro.raid.array import DiskArray
 from repro.sim.engine import Environment
@@ -219,8 +218,9 @@ def run_trace(
     # runs onto distinct exporter tracks (e.g. the HC-SD drive, which
     # is always called after its spec, across four workloads).
     run_label = label or system.label
-    tracer = tracer_for(env)
-    metrics = metrics_for(env)
+    context = current()
+    tracer = context.tracer
+    metrics = context.metrics
     wall_start = time.perf_counter() if metrics.enabled else 0.0
     # Construct the sharded engine before the producer process exists:
     # it only validates here; the fork happens inside engine.run(), by

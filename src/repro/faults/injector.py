@@ -27,7 +27,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.faults.errors import FaultInjectionError
 from repro.faults.plan import FaultEvent, FaultPlan
-from repro.obs.tracer import tracer_for
+from repro.obs.context import current
 
 __all__ = ["FaultInjector"]
 
@@ -92,7 +92,7 @@ class FaultInjector:
         self.strict = strict
         self.drive_map = drive_map
         self.label = getattr(array, "label", None) or "drives"
-        self.tracer = tracer_for(env)
+        self.tracer = current().tracer
         #: Events applied, in replay order.
         self.applied: List[FaultEvent] = []
         #: Events not applied, with the reason.

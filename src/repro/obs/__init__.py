@@ -33,6 +33,9 @@ Four pieces:
   :mod:`repro.obs.report` renders it as text or self-contained HTML
   (``python -m repro report``).
 
+A run's tracer, live registry, chaos failpoints and request-id
+counter live in one ambient :class:`~repro.obs.context.RunContext`.
+
 See ``docs/observability.md`` for the span schema and a walkthrough.
 """
 
@@ -45,6 +48,11 @@ __getattr__, __dir__ = _lazy_namespace(
             "TraceAnalysis",
             "analyze",
             "reconcile_with_collector",
+        ),
+        "repro.obs.context": (
+            "RunContext",
+            "current",
+            "using",
         ),
         "repro.obs.export": (
             "read_chrome_trace",
@@ -62,13 +70,10 @@ __getattr__, __dir__ = _lazy_namespace(
             "NullMetrics",
             "Summary",
             "append_snapshot_jsonl",
-            "current_metrics",
             "merge_worker_snapshots",
-            "metrics_for",
             "metrics_session",
             "parse_prometheus",
             "render_prometheus",
-            "set_current_metrics",
             "write_prometheus",
             "write_worker_snapshot",
         ),
@@ -83,9 +88,6 @@ __getattr__, __dir__ = _lazy_namespace(
             "NullTracer",
             "Span",
             "Tracer",
-            "current_tracer",
-            "set_current_tracer",
-            "tracer_for",
             "tracing",
         ),
     },
@@ -101,16 +103,15 @@ __all__ = [
     "MetricsRegistry",
     "NullMetrics",
     "NullTracer",
+    "RunContext",
     "Span",
     "Summary",
     "Tracer",
     "TraceAnalysis",
     "analyze",
     "append_snapshot_jsonl",
-    "current_metrics",
-    "current_tracer",
+    "current",
     "merge_worker_snapshots",
-    "metrics_for",
     "metrics_session",
     "parse_prometheus",
     "read_chrome_trace",
@@ -118,11 +119,9 @@ __all__ = [
     "render_html",
     "render_prometheus",
     "render_text",
-    "set_current_metrics",
-    "set_current_tracer",
     "to_chrome_trace",
-    "tracer_for",
     "tracing",
+    "using",
     "validate_chrome_trace",
     "write_chrome_trace",
     "write_html_report",

@@ -44,10 +44,9 @@ merge for every snapshot that crosses a process or file boundary:
 serve worker files, sweep-worker trace payloads and the telemetry
 embedded in an exported trace.
 
-Discovery mirrors the tracer: :func:`current_metrics` /
-:func:`set_current_metrics` / the :func:`metrics_session` context
-manager install an ambient registry, and :func:`metrics_for`
-resolves an environment's registry (explicit ``env.metrics`` wins).
+Discovery mirrors the tracer: components read the registry from the
+ambient run context (:func:`repro.obs.context.current`), and the
+:func:`metrics_session` context manager installs one there.
 """
 
 from __future__ import annotations
@@ -76,15 +75,12 @@ __all__ = [
     "NullMetrics",
     "Summary",
     "append_snapshot_jsonl",
-    "current_metrics",
     "load_worker_snapshots",
     "merge_worker_snapshots",
     "metrics_dir",
-    "metrics_for",
     "metrics_session",
     "parse_prometheus",
     "render_prometheus",
-    "set_current_metrics",
     "write_prometheus",
     "write_worker_snapshot",
 ]
@@ -599,50 +595,23 @@ class NullMetrics:
 
 NULL_METRICS = NullMetrics()
 
-#: The ambient registry: consulted by components whose environment
-#: does not carry an explicit one.  Defaults to the null registry.
-_ambient: object = NULL_METRICS
-
-
-def current_metrics():
-    """The ambient registry (``NULL_METRICS`` unless installed)."""
-    return _ambient
-
-
-def set_current_metrics(registry) -> object:
-    """Install ``registry`` as ambient; returns the previous one."""
-    global _ambient
-    previous = _ambient
-    _ambient = registry if registry is not None else NULL_METRICS
-    return previous
-
 
 @contextmanager
 def metrics_session(
     registry: Optional[MetricsRegistry] = None,
 ) -> Iterator[MetricsRegistry]:
-    """Install an ambient registry for the duration of the block::
+    """Install a registry in the run context for the duration of the
+    block::
 
         with metrics_session() as metrics:
             run_limit_study(requests=500)
         write_prometheus(metrics, "metrics.prom")
     """
+    from repro.obs.context import using
+
     active = registry if registry is not None else MetricsRegistry()
-    previous = set_current_metrics(active)
-    try:
+    with using(metrics=active):
         yield active
-    finally:
-        set_current_metrics(previous)
-
-
-def metrics_for(env) -> object:
-    """Resolve the metrics registry for a simulation environment.
-
-    An explicit ``env.metrics`` wins; otherwise the ambient registry
-    applies.  Components capture the result once at construction.
-    """
-    registry = getattr(env, "metrics", None)
-    return registry if registry is not None else _ambient
 
 
 # -- Prometheus text exposition --------------------------------------

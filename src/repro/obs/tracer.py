@@ -20,10 +20,9 @@ whose ``enabled`` flag lets hot paths skip even the argument packing::
     if tracer.enabled:
         tracer.span("seek", "seek", start, dur, (self.label, "arm 0"))
 
-Tracer discovery is two-level: an explicit ``env.tracer`` attribute on
-the simulation environment wins, else the *ambient* tracer installed
-with :func:`tracing` / :func:`set_current_tracer` applies.  The ambient
-level is what lets ``python -m repro <cmd> --trace`` observe a whole
+Components find the tracer in the ambient run context
+(:func:`repro.obs.context.current`), which :func:`tracing` installs.
+That is what lets ``python -m repro <cmd> --trace`` observe a whole
 experiment without changing any driver signature, including jobs that
 build their environments deep inside worker processes.
 """
@@ -41,9 +40,6 @@ __all__ = [
     "NullTracer",
     "Span",
     "Tracer",
-    "current_tracer",
-    "set_current_tracer",
-    "tracer_for",
     "tracing",
 ]
 
@@ -262,10 +258,19 @@ class Tracer:
             "dropped_spans": self.dropped_spans,
         }
 
-    def merge_payload(self, payload: Dict) -> None:
-        """Fold a worker tracer's :meth:`payload` into this tracer."""
+    def merge_payload(self, payload: Dict, id_offset: int = 0) -> None:
+        """Fold a worker tracer's :meth:`payload` into this tracer.
+
+        ``id_offset`` is added to every span's ``req`` argument: a
+        sweep job draws request ids from 0, and the offset is the
+        number of ids the merging session drew before that job.
+        """
         for item in payload.get("spans", []):
-            self._store(Span.from_tuple(item))
+            span = Span.from_tuple(item)
+            args = span.args
+            if id_offset and args and "req" in args:
+                span.args = dict(args, req=args["req"] + id_offset)
+            self._store(span)
         self.telemetry.merge_snapshot(payload["telemetry"])
         self.dropped_spans += payload.get("dropped_spans", 0)
 
@@ -312,7 +317,7 @@ class NullTracer:
         telemetry = NULL_METRICS.snapshot()
         return {"spans": [], "telemetry": telemetry, "dropped_spans": 0}
 
-    def merge_payload(self, payload: Dict) -> None:
+    def merge_payload(self, payload: Dict, id_offset: int = 0) -> None:
         pass
 
     def clear(self) -> None:
@@ -321,45 +326,17 @@ class NullTracer:
 
 NULL_TRACER = NullTracer()
 
-#: The ambient tracer: consulted by components whose environment does
-#: not carry an explicit one.  Defaults to the null tracer.
-_ambient: object = NULL_TRACER
-
-
-def current_tracer():
-    """The ambient tracer (``NULL_TRACER`` unless one is installed)."""
-    return _ambient
-
-
-def set_current_tracer(tracer) -> object:
-    """Install ``tracer`` as the ambient tracer; returns the previous."""
-    global _ambient
-    previous = _ambient
-    _ambient = tracer if tracer is not None else NULL_TRACER
-    return previous
-
 
 @contextmanager
 def tracing(tracer: Optional[Tracer] = None) -> Iterator[Tracer]:
-    """Install an ambient tracer for the duration of the block::
+    """Install a tracer in the run context for the duration of the
+    block::
 
         with tracing() as tracer:
             run_limit_study(requests=500)
         write_chrome_trace(tracer, "trace.json")
     """
-    active = tracer if tracer is not None else Tracer()
-    previous = set_current_tracer(active)
-    try:
-        yield active
-    finally:
-        set_current_tracer(previous)
+    from repro.obs.context import using
 
-
-def tracer_for(env) -> object:
-    """Resolve the tracer for a simulation environment.
-
-    An explicit ``env.tracer`` wins; otherwise the ambient tracer
-    applies.  Components capture the result once at construction.
-    """
-    tracer = getattr(env, "tracer", None)
-    return tracer if tracer is not None else _ambient
+    with using(tracer=tracer if tracer is not None else Tracer()) as run:
+        yield run.tracer

@@ -26,7 +26,7 @@ from repro.disk.drive import ConventionalDrive
 from repro.disk.request import IORequest, new_request
 from repro.faults.errors import DataLossError
 from repro.faults.policy import RetryPolicy
-from repro.obs.tracer import tracer_for
+from repro.obs.context import current
 from repro.raid.layout import (
     ConcatLayout,
     JBODLayout,
@@ -83,10 +83,10 @@ class DiskArray:
         self.layout = layout
         self.label = label or f"array[{len(drives)}x{drives[0].label}]"
         self.requests_completed = 0
-        #: Observability (resolved like the drives: ``env.tracer`` or
-        #: the ambient tracer).  The array records logical-request
-        #: envelopes, slice fan-out, degraded mapping and rebuild rows.
-        self.tracer = tracer_for(env)
+        #: Observability (read like the drives': the run context's
+        #: tracer).  The array records logical-request envelopes,
+        #: slice fan-out, degraded mapping and rebuild rows.
+        self.tracer = current().tracer
         #: Callbacks invoked with each completed *logical* request.
         self.on_complete: List[Callable[[IORequest], None]] = []
         self._outstanding: Dict[int, Event] = {}

@@ -43,13 +43,11 @@ import signal
 import time
 from typing import Dict, List, Optional, Tuple
 
-from repro.chaos.failpoints import current_failpoints
+from repro.obs.context import current, using
 from repro.obs.metrics import (
     NULL_METRICS,
     MetricsRegistry,
-    current_metrics,
     merge_worker_snapshots,
-    set_current_metrics,
     write_worker_snapshot,
 )
 from repro.serve.cache import ResultCache
@@ -113,7 +111,7 @@ def _retry_counter(call_name: str):
     registry (no-op when metrics are disabled)."""
 
     def on_retry(attempt: int, error: BaseException) -> None:
-        metrics = current_metrics()
+        metrics = current().metrics
         if metrics.enabled:
             metrics.counter(
                 "repro_client_retries_total",
@@ -171,7 +169,7 @@ def submit(
         retry_on=(OSError,),
         on_retry=_retry_counter("submit"),
     )
-    metrics = current_metrics()
+    metrics = current().metrics
     if metrics.enabled:
         metrics.counter(
             "repro_jobs_submitted_total", "Jobs enqueued by submit()"
@@ -205,7 +203,7 @@ def worker_loop(
     ``max_jobs`` bounds the number of jobs this worker processes.
 
     ``metrics=True`` gives the worker a live :class:`MetricsRegistry`
-    (installed as ambient for the duration, so replay/shard
+    (installed in the run context for the duration, so replay/shard
     instrumentation lands in it too) and writes it atomically to
     ``<queue>/metrics/`` after every job and at least every
     ``heartbeat_interval_s`` seconds — the snapshot files a
@@ -226,7 +224,7 @@ def worker_loop(
     )
     cache = ResultCache(_cache_root(queue_dir, cache_dir))
     worker_name = owner or f"worker-{os.getpid()}"
-    failpoints = current_failpoints()
+    failpoints = current().failpoints
     if failpoints.enabled:
         failpoints.bind_worker(worker_name)
     registry: object = MetricsRegistry() if metrics else NULL_METRICS
@@ -264,74 +262,72 @@ def worker_loop(
             )
 
     processed = 0
-    previous_ambient = None
-    if registry.enabled:
-        previous_ambient = set_current_metrics(registry)
-        beat(force=True)
-    try:
-        while True:
-            requeued = queue.requeue_stale()
-            count_quarantined()
-            if requeued:
-                _count(
-                    registry, worker_name, "repro_jobs_requeued_total",
-                    "Stale claims returned to pending", len(requeued),
-                )
-            if queue.last_requeue_failed:
-                _count(
-                    registry, worker_name, "repro_jobs_failed_out_total",
-                    "Jobs that exhausted max_attempts on requeue",
-                    len(queue.last_requeue_failed),
-                )
-            if registry.enabled:
-                claim_started = time.perf_counter()
-            record = queue.claim(owner=worker_name)
-            count_quarantined()
-            if registry.enabled:
-                registry.histogram(
-                    "repro_claim_latency_ms",
-                    "Wall-clock latency of one claim attempt",
-                    labels=("worker",),
-                ).labels(worker=worker_name).observe(
-                    (time.perf_counter() - claim_started) * 1000.0
-                )
-            if record is None:
-                if drain:
-                    break
-                if registry.enabled:
-                    beat()
-                time.sleep(poll_interval_s)
-                continue
-            _count(
-                registry, worker_name, "repro_job_attempts_total",
-                "Claims processed (retries of one job each count)",
-            )
-            in_flight["job_id"] = record["job_id"]
-            _process_one(record, queue, cache, worker_name, registry)
-            in_flight["job_id"] = None
-            processed += 1
-            if registry.enabled:
-                beat(force=True)
-            if max_jobs is not None and processed >= max_jobs:
-                break
-    except GracefulShutdown:
-        job_id = in_flight["job_id"]
-        if job_id is not None and queue.release(job_id):
-            _count(
-                registry, worker_name, "repro_jobs_released_total",
-                "In-flight jobs released on graceful shutdown",
-            )
-        count_quarantined()
-    finally:
-        if handle_signals:
-            for signum, handler in previous_handlers.items():
-                try:
-                    signal.signal(signum, handler)
-                except (ValueError, TypeError):
-                    pass
+    with using(metrics=registry) if registry.enabled else using():
         if registry.enabled:
             beat(force=True)
-            set_current_metrics(previous_ambient)
+        try:
+            while True:
+                requeued = queue.requeue_stale()
+                count_quarantined()
+                if requeued:
+                    _count(
+                        registry, worker_name, "repro_jobs_requeued_total",
+                        "Stale claims returned to pending", len(requeued),
+                    )
+                if queue.last_requeue_failed:
+                    _count(
+                        registry, worker_name, "repro_jobs_failed_out_total",
+                        "Jobs that exhausted max_attempts on requeue",
+                        len(queue.last_requeue_failed),
+                    )
+                if registry.enabled:
+                    claim_started = time.perf_counter()
+                record = queue.claim(owner=worker_name)
+                count_quarantined()
+                if registry.enabled:
+                    registry.histogram(
+                        "repro_claim_latency_ms",
+                        "Wall-clock latency of one claim attempt",
+                        labels=("worker",),
+                    ).labels(worker=worker_name).observe(
+                        (time.perf_counter() - claim_started) * 1000.0
+                    )
+                if record is None:
+                    if drain:
+                        break
+                    if registry.enabled:
+                        beat()
+                    time.sleep(poll_interval_s)
+                    continue
+                _count(
+                    registry, worker_name, "repro_job_attempts_total",
+                    "Claims processed (retries of one job each count)",
+                )
+                in_flight["job_id"] = record["job_id"]
+                _process_one(record, queue, cache, worker_name, registry)
+                in_flight["job_id"] = None
+                processed += 1
+                if registry.enabled:
+                    beat(force=True)
+                if max_jobs is not None and processed >= max_jobs:
+                    break
+        except GracefulShutdown:
+            job_id = in_flight["job_id"]
+            if job_id is not None and queue.release(job_id):
+                _count(
+                    registry, worker_name, "repro_jobs_released_total",
+                    "In-flight jobs released on graceful shutdown",
+                )
+            count_quarantined()
+        finally:
+            if handle_signals:
+                for signum, handler in previous_handlers.items():
+                    try:
+                        signal.signal(signum, handler)
+                    except (ValueError, TypeError):
+                        pass
+            if registry.enabled:
+                beat(force=True)
     return {"worker": worker_name, "processed": processed}
 
 
@@ -344,7 +340,7 @@ def _process_one(
 ) -> None:
     job_id = record["job_id"]
     started = time.time()
-    failpoints = current_failpoints()
+    failpoints = current().failpoints
     try:
         if failpoints.enabled:
             failpoints.hit("service.job.before_run")
@@ -483,7 +479,7 @@ def serve(
         raise ValueError(
             f"max_restarts must be >= 0, got {max_restarts}"
         )
-    ambient = current_metrics()
+    ambient = current().metrics
     want_metrics = metrics or ambient.enabled
     JobQueue(queue_dir, durable=durable)  # create the layout first
     ResultCache(_cache_root(queue_dir, cache_dir))

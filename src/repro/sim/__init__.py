@@ -16,8 +16,6 @@ __getattr__, __dir__ = _lazy_namespace(
         "repro.sim.distributions": (
             "BernoulliStream",
             "ExponentialStream",
-            "NormalStream",
-            "ParetoStream",
             "RandomStream",
             "UniformStream",
         ),
@@ -35,7 +33,6 @@ __getattr__, __dir__ = _lazy_namespace(
         "repro.sim.stats": (
             "BucketHistogram",
             "OnlineStats",
-            "TimeWeightedStat",
         ),
     },
 )
@@ -49,14 +46,11 @@ __all__ = [
     "Event",
     "ExponentialStream",
     "Interrupt",
-    "NormalStream",
     "OnlineStats",
-    "ParetoStream",
     "Process",
     "RandomStream",
     "Resource",
     "SimulationError",
-    "TimeWeightedStat",
     "Timeout",
     "UniformStream",
 ]

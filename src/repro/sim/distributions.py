@@ -7,18 +7,14 @@ and every simulation is exactly reproducible from its seed.
 
 from __future__ import annotations
 
-import math
 import random
 from typing import Optional
 
 __all__ = [
     "BernoulliStream",
     "ExponentialStream",
-    "NormalStream",
-    "ParetoStream",
     "RandomStream",
     "UniformStream",
-    "ZipfStream",
 ]
 
 
@@ -40,10 +36,6 @@ class RandomStream:
 
     def sample(self) -> float:
         raise NotImplementedError
-
-    def __iter__(self):
-        while True:
-            yield self.sample()
 
 
 class ExponentialStream(RandomStream):
@@ -81,30 +73,6 @@ class UniformStream(RandomStream):
         return self._rng.randint(int(self.low), int(self.high))
 
 
-class NormalStream(RandomStream):
-    """Normal variates, optionally truncated at a minimum value."""
-
-    def __init__(
-        self,
-        mean: float,
-        stddev: float,
-        minimum: Optional[float] = None,
-        seed: Optional[int] = None,
-    ):
-        if stddev < 0:
-            raise ValueError(f"stddev must be non-negative, got {stddev}")
-        super().__init__(seed)
-        self.mean = mean
-        self.stddev = stddev
-        self.minimum = minimum
-
-    def sample(self) -> float:
-        value = self._rng.gauss(self.mean, self.stddev)
-        if self.minimum is not None and value < self.minimum:
-            value = self.minimum
-        return value
-
-
 class BernoulliStream(RandomStream):
     """True with probability ``p`` — used for read/write and sequential mixes."""
 
@@ -116,68 +84,3 @@ class BernoulliStream(RandomStream):
 
     def sample(self) -> bool:
         return self._rng.random() < self.p
-
-
-class ParetoStream(RandomStream):
-    """Bounded Pareto variates (heavy-tailed burst sizes)."""
-
-    def __init__(
-        self,
-        alpha: float,
-        minimum: float,
-        maximum: float = float("inf"),
-        seed: Optional[int] = None,
-    ):
-        if alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {alpha}")
-        if minimum <= 0:
-            raise ValueError(f"minimum must be positive, got {minimum}")
-        super().__init__(seed)
-        self.alpha = alpha
-        self.minimum = minimum
-        self.maximum = maximum
-
-    def sample(self) -> float:
-        value = self.minimum * (1.0 - self._rng.random()) ** (-1.0 / self.alpha)
-        return min(value, self.maximum)
-
-
-class ZipfStream(RandomStream):
-    """Zipf-distributed ranks over ``n`` items (hot-spot footprints).
-
-    Uses the rejection-inversion method of Hörmann & Derflinger, which
-    samples in O(1) without materialising the full rank distribution.
-    """
-
-    def __init__(self, n: int, theta: float = 0.99, seed: Optional[int] = None):
-        if n <= 0:
-            raise ValueError(f"n must be positive, got {n}")
-        if theta <= 0 or theta == 1.0:
-            raise ValueError(f"theta must be positive and != 1, got {theta}")
-        super().__init__(seed)
-        self.n = n
-        self.theta = theta
-        self._q = 1.0 - theta
-        self._h_x1 = self._h(1.5) - 1.0
-        self._h_n = self._h(n + 0.5)
-        self._s = 2.0 - self._h_inv(self._h(2.5) - 2.0 ** -theta)
-
-    def _h(self, x: float) -> float:
-        return (x ** self._q) / self._q
-
-    def _h_inv(self, x: float) -> float:
-        return (self._q * x) ** (1.0 / self._q)
-
-    def sample_int(self) -> int:
-        """A rank in ``[1, n]``; rank 1 is the hottest."""
-        while True:
-            u = self._h_n + self._rng.random() * (self._h_x1 - self._h_n)
-            x = self._h_inv(u)
-            k = math.floor(x + 0.5)
-            if k - x <= self._s:
-                return int(k)
-            if u >= self._h(k + 0.5) - math.exp(-math.log(k) * self.theta):
-                return int(k)
-
-    def sample(self) -> float:
-        return float(self.sample_int())

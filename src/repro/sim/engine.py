@@ -436,16 +436,12 @@ class EmptySchedule(Exception):
 class Environment:
     """Owns simulated time and the pending-event schedule.
 
-    ``tracer`` optionally attaches an observability tracer
-    (:mod:`repro.obs`) to this environment: components built against
-    the environment resolve it via ``repro.obs.tracer_for`` and the
-    engine itself records run-level telemetry (events dispatched,
-    final simulated time) when a tracer is enabled.  ``None`` (the
-    default) falls back to the ambient tracer, which is the zero-cost
-    null tracer unless a traced session is active.
+    When the ambient run context (:func:`repro.obs.context.current`)
+    carries an enabled tracer, each :meth:`run` records run-level
+    telemetry (events dispatched, final simulated time) into it.
     """
 
-    def __init__(self, initial_time: float = 0.0, tracer: Any = None):
+    def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
         #: The pending-event schedule: a heap of ``(time, priority, eid,
         #: event)`` tuples.
@@ -454,7 +450,6 @@ class Environment:
         self._active_process: Optional[Process] = None
         #: Free list of fired timeouts available for reuse.
         self._timeout_pool: List[Timeout] = []
-        self.tracer = tracer
 
     @property
     def now(self) -> float:
@@ -712,11 +707,9 @@ class Environment:
 
     def _record_run_telemetry(self, events: int) -> None:
         """Engine-level counters for an enabled tracer (no-op otherwise)."""
-        tracer = self.tracer
-        if tracer is None:
-            from repro.obs.tracer import current_tracer
+        from repro.obs.context import current
 
-            tracer = current_tracer()
+        tracer = current().tracer
         if not tracer.enabled:
             return
         telemetry = tracer.telemetry

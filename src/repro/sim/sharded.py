@@ -52,7 +52,7 @@ import traceback
 from heapq import heapify
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.obs.metrics import metrics_for
+from repro.obs.context import current
 from repro.sim.engine import NORMAL, URGENT, Environment, Event
 
 __all__ = [
@@ -467,7 +467,7 @@ class ShardedEngine:
         self.shard_events: List[int] = [0] * self.shards
         # Wall-clock metrics only: live metrics never touch simulated
         # time, so figures stay bit-identical with metrics on or off.
-        self._metrics = metrics_for(env)
+        self._metrics = current().metrics
         self._seq = 0
         self._pending: Dict[int, _Pending] = {}
         self._scheduled: Dict[int, _Pending] = {}

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Sequence
 
-__all__ = ["BucketHistogram", "OnlineStats", "TimeWeightedStat", "percentile"]
+__all__ = ["BucketHistogram", "OnlineStats", "percentile"]
 
 
 def percentile(samples: Sequence[float], q: float) -> float:
@@ -151,40 +151,3 @@ class BucketHistogram:
         merged.counts = [a + b for a, b in zip(self.counts, other.counts)]
         merged.total = self.total + other.total
         return merged
-
-
-class TimeWeightedStat:
-    """Time-weighted average of a piecewise-constant signal.
-
-    Used for, e.g., average queue depth and average power: call
-    :meth:`record` whenever the value changes, then :meth:`finalize`.
-    """
-
-    def __init__(self, initial_time: float = 0.0, initial_value: float = 0.0):
-        self._last_time = initial_time
-        self._value = initial_value
-        self._weighted_sum = 0.0
-        self._elapsed = 0.0
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-    def record(self, time: float, value: float) -> None:
-        if time < self._last_time:
-            raise ValueError(
-                f"time went backwards: {time} < {self._last_time}"
-            )
-        span = time - self._last_time
-        self._weighted_sum += self._value * span
-        self._elapsed += span
-        self._last_time = time
-        self._value = value
-
-    def finalize(self, time: Optional[float] = None) -> float:
-        """Average up to ``time`` (defaults to the last recorded time)."""
-        if time is not None:
-            self.record(time, self._value)
-        if self._elapsed == 0.0:
-            return self._value
-        return self._weighted_sum / self._elapsed

@@ -25,7 +25,7 @@ import os
 from typing import Dict, Iterator, List, Optional, Union
 
 from repro.disk.request import IORequest
-from repro.obs.metrics import current_metrics
+from repro.obs.context import current
 from repro.workloads.formats import (
     DEFAULT_CHUNK_REQUESTS,
     _new_skip_counts,
@@ -118,7 +118,7 @@ class StreamingTrace:
 
     def _record_skipped(self, skipped: Dict[str, int]) -> None:
         self.last_skipped = {k: v for k, v in skipped.items() if v}
-        metrics = current_metrics()
+        metrics = current().metrics
         if metrics.enabled and self.last_skipped:
             family = metrics.counter(
                 "repro_trace_skipped_lines_total",

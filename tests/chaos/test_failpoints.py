@@ -10,12 +10,11 @@ import pytest
 from repro.chaos.failpoints import (
     NULL_FAILPOINTS,
     NullFailpoints,
-    current_failpoints,
     failpoints_session,
-    set_current_failpoints,
 )
 from repro.chaos.injector import ChaosInjector, ChaosKill, applied_events
 from repro.chaos.plan import ChaosEvent, ChaosPlan
+from repro.obs.context import current
 from repro.serve.jobs import JobSpec
 from repro.serve.service import submit, worker_loop
 
@@ -24,7 +23,7 @@ SMALL = dict(workload="financial", requests=60, seed=5)
 
 class TestAmbient:
     def test_default_is_disabled_singleton(self):
-        fp = current_failpoints()
+        fp = current().failpoints
         assert fp is NULL_FAILPOINTS
         assert fp.enabled is False
         assert fp.clock_skew("queue.clock") == 0.0
@@ -34,18 +33,8 @@ class TestAmbient:
         injector = ChaosInjector(ChaosPlan.empty(), kill_mode="raise")
         with failpoints_session(injector) as installed:
             assert installed is injector
-            assert current_failpoints() is injector
-        assert current_failpoints() is NULL_FAILPOINTS
-
-    def test_set_returns_previous_and_none_restores(self):
-        injector = ChaosInjector(ChaosPlan.empty(), kill_mode="raise")
-        previous = set_current_failpoints(injector)
-        try:
-            assert previous is NULL_FAILPOINTS
-            assert current_failpoints() is injector
-        finally:
-            set_current_failpoints(None)
-        assert current_failpoints() is NULL_FAILPOINTS
+            assert current().failpoints is injector
+        assert current().failpoints is NULL_FAILPOINTS
 
 
 class ExplodingFailpoints(NullFailpoints):

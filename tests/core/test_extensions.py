@@ -8,10 +8,11 @@ from repro.core.extensions import OverlappedParallelDisk
 from repro.core.taxonomy import DashConfig
 from repro.disk.request import IORequest
 from repro.disk.scheduler import FCFSScheduler
+from repro.faults.policy import RetryPolicy
 from repro.sim.engine import Environment
 
 
-def build(tiny_spec, actuators=2, channels=1):
+def build(tiny_spec, actuators=2, channels=1, retry_policy=None):
     env = Environment()
     disk = OverlappedParallelDisk(
         env,
@@ -19,6 +20,7 @@ def build(tiny_spec, actuators=2, channels=1):
         config=DashConfig(arm_assemblies=actuators),
         channels=channels,
         scheduler=FCFSScheduler(),
+        retry_policy=retry_policy,
     )
     return env, disk
 
@@ -127,3 +129,26 @@ class TestAccounting:
         )
         done = run_all(env, disk, [second])
         assert done[0].cache_hit
+
+
+class TestRetryPolicy:
+    def read_through_fault(self, tiny_spec, retry_policy):
+        env, disk = build(tiny_spec, actuators=2, retry_policy=retry_policy)
+        disk.inject_media_error(attempts=2)
+        read = IORequest(lba=100, size=8, is_read=True, arrival_time=0.0)
+        (done,) = run_all(env, disk, [read])
+        return done, disk
+
+    def test_single_attempt_leaves_the_error_unrecovered(self, tiny_spec):
+        done, disk = self.read_through_fault(
+            tiny_spec, RetryPolicy(max_attempts=1)
+        )
+        assert done.media_error is True
+        assert done.retries == 0
+        assert disk.stats.unrecovered_errors == 1
+
+    def test_default_policy_recovers(self, tiny_spec):
+        done, disk = self.read_through_fault(tiny_spec, None)
+        assert done.media_error is False
+        assert done.retries == 2
+        assert disk.stats.unrecovered_errors == 0

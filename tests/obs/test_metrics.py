@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs.context import current
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS_MS,
     METRICS_SCHEMA,
@@ -20,11 +21,9 @@ from repro.obs.metrics import (
     NULL_METRICS,
     NullMetrics,
     append_snapshot_jsonl,
-    current_metrics,
     load_worker_snapshots,
     merge_worker_snapshots,
     metrics_dir,
-    metrics_for,
     metrics_session,
     parse_prometheus,
     render_prometheus,
@@ -372,33 +371,22 @@ class TestNullMetrics:
 
 class TestAmbient:
     def test_default_is_null(self):
-        assert current_metrics() is NULL_METRICS
+        assert current().metrics is NULL_METRICS
 
     def test_session_installs_and_restores(self):
         with metrics_session() as registry:
-            assert current_metrics() is registry
+            assert current().metrics is registry
             assert registry.enabled
             with metrics_session() as inner:
-                assert current_metrics() is inner
-            assert current_metrics() is registry
-        assert current_metrics() is NULL_METRICS
+                assert current().metrics is inner
+            assert current().metrics is registry
+        assert current().metrics is NULL_METRICS
 
     def test_session_restores_on_error(self):
         with pytest.raises(RuntimeError):
             with metrics_session():
                 raise RuntimeError("boom")
-        assert current_metrics() is NULL_METRICS
-
-    def test_metrics_for_prefers_env_attribute(self):
-        class Env:
-            pass
-
-        env = Env()
-        assert metrics_for(env) is NULL_METRICS
-        registry = MetricsRegistry()
-        env.metrics = registry
-        with metrics_session():
-            assert metrics_for(env) is registry
+        assert current().metrics is NULL_METRICS
 
 
 class TestWorkerSnapshots:

@@ -4,6 +4,7 @@ import pickle
 
 import pytest
 
+from repro.obs.context import current
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.tracer import (
     NULL_TRACER,
@@ -11,9 +12,6 @@ from repro.obs.tracer import (
     NullTracer,
     Span,
     Tracer,
-    current_tracer,
-    set_current_tracer,
-    tracer_for,
     tracing,
 )
 
@@ -214,44 +212,34 @@ class TestNullTracer:
         assert null.payload()["spans"] == []
 
     def test_singleton_default(self):
-        assert current_tracer() is NULL_TRACER
+        assert current().tracer is NULL_TRACER
 
 
 class TestDiscovery:
     def test_tracing_installs_and_restores(self):
-        before = current_tracer()
+        before = current().tracer
         with tracing() as tracer:
-            assert current_tracer() is tracer
+            assert current().tracer is tracer
             assert tracer.enabled
-        assert current_tracer() is before
+        assert current().tracer is before
 
     def test_tracing_accepts_existing_tracer(self):
         mine = Tracer()
         with tracing(mine) as active:
             assert active is mine
 
-    def test_set_current_tracer_none_resets_to_null(self):
-        previous = set_current_tracer(Tracer())
-        try:
-            assert set_current_tracer(None) is not NULL_TRACER
-            assert current_tracer() is NULL_TRACER
-        finally:
-            set_current_tracer(previous)
-
-    def test_env_attribute_wins(self):
-        class Env:
-            tracer = Tracer()
-
-        with tracing():
-            assert tracer_for(Env()) is Env.tracer
-
     def test_ambient_fallback(self):
-        class Env:
-            pass
+        # Components read the run context's tracer at construction.
+        from repro.disk.drive import ConventionalDrive
+        from repro.disk.specs import BARRACUDA_ES
+        from repro.sim.engine import Environment
 
         with tracing() as ambient:
-            assert tracer_for(Env()) is ambient
-        assert tracer_for(Env()) is NULL_TRACER
+            assert ConventionalDrive(Environment(), BARRACUDA_ES).tracer is (
+                ambient
+            )
+        drive = ConventionalDrive(Environment(), BARRACUDA_ES)
+        assert drive.tracer is NULL_TRACER
 
 
 def test_phase_names_are_the_papers_decomposition():

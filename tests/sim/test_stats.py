@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from repro.sim.stats import (
     BucketHistogram,
     OnlineStats,
-    TimeWeightedStat,
     percentile,
 )
 
@@ -151,31 +150,3 @@ class TestBucketHistogram:
         histogram.extend(data)
         assert histogram.total == len(data)
         assert sum(histogram.counts) == len(data)
-
-
-class TestTimeWeightedStat:
-    def test_constant_signal(self):
-        stat = TimeWeightedStat(initial_value=5.0)
-        stat.record(10.0, 5.0)
-        assert stat.finalize() == pytest.approx(5.0)
-
-    def test_step_signal(self):
-        stat = TimeWeightedStat()
-        stat.record(2.0, 10.0)  # value 0 for 2 units
-        stat.record(4.0, 0.0)  # value 10 for 2 units
-        assert stat.finalize() == pytest.approx(5.0)
-
-    def test_finalize_at_time(self):
-        stat = TimeWeightedStat()
-        stat.record(1.0, 8.0)
-        assert stat.finalize(time=2.0) == pytest.approx(4.0)
-
-    def test_backwards_time_rejected(self):
-        stat = TimeWeightedStat()
-        stat.record(5.0, 1.0)
-        with pytest.raises(ValueError):
-            stat.record(4.0, 2.0)
-
-    def test_no_elapsed_returns_current_value(self):
-        stat = TimeWeightedStat(initial_value=7.0)
-        assert stat.finalize() == 7.0
